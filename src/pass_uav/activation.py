@@ -28,28 +28,26 @@ EXHAUSTIVE_MAX_K = 20
 
 @dataclass(frozen=True)
 class ActivationProblem:
-    """One slot's geometry folded into per-antenna phasors conj(h_k) * g_k."""
+    """One slot's geometry: free-space channel h_k and in-waveguide response g_k
+    per coupler, with the derived phasors conj(h_k) * g_k."""
 
-    phasors: np.ndarray
+    channel: np.ndarray
+    response: np.ndarray
     delta: float
     rho: float
+    phasors: np.ndarray = field(init=False)
 
-    @classmethod
-    def from_parts(
-        cls, channel_vec, response, delta: float, rate_threshold: float, noise_power_w: float
-    ) -> "ActivationProblem":
-        rho = 1.0 / ((2.0**rate_threshold - 1.0) * noise_power_w)
-        phasors = np.conj(np.asarray(channel_vec)) * np.asarray(response)
-        return cls(phasors=phasors, delta=delta, rho=rho)
+    def __post_init__(self):
+        object.__setattr__(self, "phasors", np.conj(self.channel) * self.response)
 
     @classmethod
     def from_scenario(cls, scenario: Scenario, uav_position_m) -> "ActivationProblem":
-        return cls.from_parts(
-            propagation.channel(scenario, uav_position_m),
-            propagation.waveguide_response(scenario),
-            scenario.physics.radiation_constant,
-            scenario.physics.rate_threshold_bps_hz,
-            scenario.physics.noise_power_w,
+        phys = scenario.physics
+        return cls(
+            channel=propagation.channel(scenario, uav_position_m),
+            response=propagation.waveguide_response(scenario),
+            delta=phys.radiation_constant,
+            rho=1.0 / ((2.0**phys.rate_threshold_bps_hz - 1.0) * phys.noise_power_w),
         )
 
     @property
@@ -57,17 +55,15 @@ class ActivationProblem:
         return int(self.phasors.size)
 
     def gain(self, activation) -> float:
+        """Combined gain |sum_k conj(h_k) * beta_k * g_k|^2 under the sequential ratios."""
         beta = propagation.radiation_ratios(activation, self.delta)
-        amp = np.sum(self.phasors * beta)
+        # Keep this product order: the costed per-slot powers, and with them
+        # the simulate outputs, depend on its rounding in the last bits.
+        amp = np.sum(np.conj(self.channel) * beta * self.response)
         return float(np.abs(amp) ** 2)
 
     def objective(self, activation) -> float:
         return self.rho * self.gain(activation)
-
-
-def objective(problem: ActivationProblem, activation) -> float:
-    """rho-scaled combined gain of one activation vector."""
-    return problem.objective(activation)
 
 
 def full_activation(k: int) -> np.ndarray:
@@ -77,13 +73,6 @@ def full_activation(k: int) -> np.ndarray:
 def _all_bitmaps(k: int) -> np.ndarray:
     ints = np.arange(1 << k, dtype=np.int64)
     return ((ints[:, None] >> np.arange(k)) & 1).astype(np.int8)
-
-
-def _beta_matrix(bits: np.ndarray, delta: float) -> np.ndarray:
-    upstream = np.concatenate(
-        [np.zeros((bits.shape[0], 1)), np.cumsum(bits, axis=1)[:, :-1]], axis=1
-    )
-    return bits * delta * math.sqrt(1.0 - delta * delta) ** upstream
 
 
 def exhaustive_best(problem: ActivationProblem) -> np.ndarray:
@@ -96,7 +85,7 @@ def exhaustive_best(problem: ActivationProblem) -> np.ndarray:
     if k > EXHAUSTIVE_MAX_K:
         raise ValueError(f"exhaustive search is guarded to K <= {EXHAUSTIVE_MAX_K}, got {k}")
     bits = _all_bitmaps(k)[1:]
-    amps = _beta_matrix(bits, problem.delta) @ problem.phasors
+    amps = propagation.radiation_ratios(bits, problem.delta) @ problem.phasors
     objs = problem.rho * np.abs(amps) ** 2
     best = objs.max()
     tied = bits[objs == best]

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from . import activation as act
-from . import harness, link_budget as lb, propagation, route_planner, scenario as scen
+from . import harness, link_budget as lb, route_planner, scenario as scen
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -142,7 +142,7 @@ def cmd_activate(args) -> int:
 def cmd_simulate(args) -> int:
     scenario = _load_scenario(args)
     spec = _spec_from(args)
-    output = harness.run_dlo(scenario, spec, threads=args.threads)
+    output = harness.run_dlo(scenario, spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     harness.write_tour_json(out / "tour.json", output.tour, spec.planner, scenario.rng_seed)
@@ -154,12 +154,9 @@ def cmd_simulate(args) -> int:
     lb.write_energy_json(out / "energy.json", output.reports)
     if output.planner_trace:
         harness.write_planner_trace_csv(out / "hao_trace.csv", output.planner_trace)
-    trace_rows = [
-        (i, float(propagation.pa_distances(scenario, output.slot_plan.slots[i].position_m).min()),
-         output.reports[0].per_slot_power_w[i])
-        for i in output.slot_plan.flying_indices()
-    ]
-    harness.write_distance_trace_csv(out / "trace_distance.csv", trace_rows)
+    harness.write_distance_trace_csv(
+        out / "trace_distance.csv", harness.distance_energy_trace(scenario, output)
+    )
     print(f"strategy: {spec.label}")
     print(f"tour distance: {output.tour.total_distance_m:.3f} m")
     print(f"slots: {output.slot_plan.total_slots}")
@@ -185,10 +182,7 @@ def cmd_benchmark(args) -> int:
     strategies = [s for s in args.strategies.split(",") if s]
     values = _parse_values(args.values, args.variable)
     seeds = _parse_seeds(args.seeds)
-    result = harness.sweep(
-        args.variable, values, strategies, seeds, node_count=args.nodes,
-        threads=args.threads,
-    )
+    result = harness.sweep(args.variable, values, strategies, seeds, node_count=args.nodes)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"sweep_{args.variable}.csv"
@@ -231,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_planner_args(p_sim)
     p_sim.add_argument("--strategy", default="hao:bnb", help="planner:activator")
     p_sim.add_argument("--reoptimize-hover", action="store_true")
-    p_sim.add_argument("--threads", type=int, default=1,
-                       help="worker threads for independent slots")
     p_sim.add_argument("--out", default="out", help="output directory")
     p_sim.set_defaults(func=cmd_simulate)
 
@@ -245,8 +237,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--strategies", default="hao:bnb,hao:islr,hao:full,hao:mimo")
     p_bench.add_argument("--seeds", default="1-20")
     p_bench.add_argument("--nodes", type=int, default=10)
-    p_bench.add_argument("--threads", type=int, default=1,
-                         help="worker threads for independent sweep cells")
     p_bench.add_argument("--out", default="out")
     p_bench.set_defaults(func=cmd_benchmark)
     return parser

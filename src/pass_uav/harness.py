@@ -5,9 +5,9 @@ array, benchmark sweeps, and the flat-file outputs the CLI emits.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
@@ -17,6 +17,7 @@ import numpy as np
 from . import activation as act
 from . import link_budget as lb
 from . import propagation, route_planner, scenario as scen
+from .link_budget import _fmt
 
 PLANNERS = ("hao", "ga_only", "nearest_neighbor", "held_karp")
 ACTIVATORS = ("bnb", "islr", "full", "exhaustive", "mimo")
@@ -129,15 +130,12 @@ def solve_cycle(
     plan: lb.SlotPlan,
     activator: str,
     spec: StrategySpec,
-    threads: int = 1,
 ) -> lb.EnergyReport:
     """Per-slot optimization over one flight cycle.
 
     Flying slots are optimized at their own position; hovering slots reuse the
     previous slot's activation unless ``spec.reoptimize_hover`` is set. The
     array baseline has no activation vector and is costed per position.
-    Independent slots may be solved by a worker pool; results are assembled by
-    slot index, so the output is identical for any thread count.
     """
     if activator == "mimo":
         powers = tuple(
@@ -150,34 +148,13 @@ def solve_cycle(
             total_energy_j=total,
             per_slot_activation=(),
         )
-    response = propagation.waveguide_response(scenario)
-    phys = scenario.physics
-
-    def solve_at(position) -> np.ndarray:
-        problem = act.ActivationProblem.from_parts(
-            propagation.channel(scenario, position),
-            response,
-            phys.radiation_constant,
-            phys.rate_threshold_bps_hz,
-            phys.noise_power_w,
-        )
-        return solve_slot(problem, activator, spec)
-
-    independent = [
-        i for i, slot in enumerate(plan.slots)
-        if slot.mode == lb.FLYING or spec.reoptimize_hover or i == 0
-    ]
-    solved: dict[int, np.ndarray] = {}
-    if threads > 1 and len(independent) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(lambda i: solve_at(plan.slots[i].position_m), independent)
-            solved = dict(zip(independent, results))
-    else:
-        solved = {i: solve_at(plan.slots[i].position_m) for i in independent}
-
     activations: list[np.ndarray] = []
-    for i in range(plan.total_slots):
-        activations.append(solved[i] if i in solved else activations[i - 1])
+    for i, slot in enumerate(plan.slots):
+        if slot.mode == lb.FLYING or spec.reoptimize_hover or i == 0:
+            problem = act.ActivationProblem.from_scenario(scenario, slot.position_m)
+            activations.append(solve_slot(problem, activator, spec))
+        else:
+            activations.append(activations[-1])
     return lb.cycle_energy(scenario, plan, activations, strategy_name=activator)
 
 
@@ -185,32 +162,30 @@ def run_dlo(
     scenario: scen.Scenario,
     spec: StrategySpec,
     extra_activators: Sequence[str] = (),
-    threads: int = 1,
 ) -> DloOutput:
     """Plan the route, discretize it, optimize every slot; one report per
     activator, all sharing the planned cycle."""
     tour, trace = plan_tour(scenario, spec)
     plan = lb.discretize(scenario, tour)
     reports = tuple(
-        solve_cycle(scenario, plan, activator, spec, threads=threads)
+        solve_cycle(scenario, plan, activator, spec)
         for activator in (spec.activator, *extra_activators)
     )
     return DloOutput(tour=tour, slot_plan=plan, reports=reports, planner_trace=trace)
 
 
 def distance_energy_trace(
-    scenario: scen.Scenario, spec: StrategySpec
+    scenario: scen.Scenario, output: DloOutput
 ) -> list[tuple[int, float, float]]:
     """(slot_index, min distance to any coupler, optimized power) for flying
-    slots; hover slots hold the previous activation and are excluded."""
-    out = run_dlo(scenario, spec)
-    report = out.reports[0]
-    rows = []
-    for idx in out.slot_plan.flying_indices():
-        slot = out.slot_plan.slots[idx]
-        dist = float(propagation.pa_distances(scenario, slot.position_m).min())
-        rows.append((idx, dist, report.per_slot_power_w[idx]))
-    return rows
+    slots of the first report; hover slots hold the previous activation and
+    are excluded."""
+    powers = output.reports[0].per_slot_power_w
+    return [
+        (i, float(propagation.pa_distances(scenario, output.slot_plan.slots[i].position_m).min()),
+         powers[i])
+        for i in output.slot_plan.flying_indices()
+    ]
 
 
 @dataclass(frozen=True)
@@ -253,16 +228,7 @@ def _sweep_cell(variable, value, seed, node_count, parsed, strategies, base):
     for si, (planner, activator) in enumerate(parsed):
         try:
             if planner not in plans:
-                spec = StrategySpec(
-                    planner=planner,
-                    activator=activator,
-                    ga=base.ga,
-                    hao=base.hao,
-                    islr_high_count=base.islr_high_count,
-                    bnb_epsilon=base.bnb_epsilon,
-                    mimo=base.mimo,
-                    reoptimize_hover=base.reoptimize_hover,
-                )
+                spec = dataclasses.replace(base, planner=planner, activator=activator)
                 tour, _ = plan_tour(scenario, spec)
                 plans[planner] = (spec, lb.discretize(scenario, tour))
             spec, plan = plans[planner]
@@ -281,40 +247,29 @@ def sweep(
     seeds: Sequence[int],
     node_count: int = 10,
     base_spec: Optional[StrategySpec] = None,
-    threads: int = 1,
 ) -> ExperimentResult:
     """Cycle-energy grid over one swept variable, averaged across seeds.
 
     Per-cell failures (e.g. an infeasible slot) are recorded and excluded from
-    the mean rather than aborting the sweep. Cells are independent jobs; with
-    threads > 1 they run on a bounded pool and are still assembled in cell
-    order, so results do not depend on the thread count.
+    the mean rather than aborting the sweep.
     """
     if not values:
         raise ValueError("values must be nonempty")
     base = base_spec or StrategySpec()
     parsed = [_parse_strategy(s) for s in strategies]
-    cells = [(vi, value, seed) for vi, value in enumerate(values) for seed in seeds]
-
-    def run(cell):
-        vi, value, seed = cell
-        return _sweep_cell(variable, value, seed, node_count, parsed, strategies, base)
-
-    if threads > 1 and len(cells) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(run, cells))
-    else:
-        outcomes = [run(cell) for cell in cells]
-
     sums = np.zeros((len(values), len(strategies)))
     counts = np.zeros((len(values), len(strategies)), dtype=int)
     failures = []
-    for (vi, _value, _seed), (energies, cell_failures) in zip(cells, outcomes):
-        for si, energy in enumerate(energies):
-            if energy is not None:
-                sums[vi, si] += energy
-                counts[vi, si] += 1
-        failures.extend(cell_failures)
+    for vi, value in enumerate(values):
+        for seed in seeds:
+            energies, cell_failures = _sweep_cell(
+                variable, value, seed, node_count, parsed, strategies, base
+            )
+            for si, energy in enumerate(energies):
+                if energy is not None:
+                    sums[vi, si] += energy
+                    counts[vi, si] += 1
+            failures.extend(cell_failures)
     with np.errstate(invalid="ignore"):
         means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     return ExperimentResult(
@@ -330,10 +285,6 @@ def sweep(
 # ---------------------------------------------------------------------------
 # Flat-file outputs
 # ---------------------------------------------------------------------------
-
-
-def _fmt(x) -> str:
-    return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
 
 
 def write_tour_json(path: Path, tour: route_planner.Tour, planner: str, seed: int) -> None:

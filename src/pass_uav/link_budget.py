@@ -11,6 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import propagation
+from .activation import ActivationProblem
 from .route_planner import Tour
 from .scenario import Scenario
 
@@ -125,14 +126,6 @@ class EnergyReport:
         return len(self.per_slot_power_w)
 
 
-def slot_gain(scenario: Scenario, position, activation) -> float:
-    """Combined gain at one UAV position under one activation vector."""
-    h = propagation.channel(scenario, position)
-    g = propagation.waveguide_response(scenario)
-    beta = propagation.radiation_ratios(activation, scenario.physics.radiation_constant)
-    return propagation.effective_gain(h, g, beta, activation)
-
-
 def cycle_energy(
     scenario: Scenario,
     plan: SlotPlan,
@@ -152,7 +145,7 @@ def cycle_energy(
     phys = scenario.physics
     powers = []
     for idx, (slot, act) in enumerate(zip(plan.slots, activation_per_slot)):
-        gain = slot_gain(scenario, slot.position_m, act)
+        gain = ActivationProblem.from_scenario(scenario, slot.position_m).gain(act)
         p = required_power(gain, phys.rate_threshold_bps_hz, phys.noise_power_w)
         if not math.isfinite(p):
             raise InfeasibleSlotError(f"slot {idx} has zero gain under its activation")
@@ -168,7 +161,7 @@ def cycle_energy(
 
 
 def _fmt(x) -> str:
-    return repr(float(x))
+    return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
 
 
 def write_energy_csv(path, plan: SlotPlan, reports: Sequence[EnergyReport],

@@ -60,21 +60,12 @@ def radiation_ratios(activation, delta: float) -> np.ndarray:
 
     The i-th activated coupler radiates delta * sqrt(1 - delta^2)^(i-1) of the
     guided amplitude; deactivated entries contribute a unit factor and radiate
-    nothing. Consequently sum(beta^2) = 1 - (1 - delta^2)^K_a.
+    nothing. Consequently sum(beta^2) = 1 - (1 - delta^2)^K_a. The last axis
+    runs over couplers, so a stack of activation vectors gives a stack of ratios.
     """
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie in (0, 1)")
     a = as_activation(activation)
     # exponent = number of activated couplers strictly before each position
-    upstream = np.concatenate(([0], np.cumsum(a)[:-1]))
+    upstream = np.cumsum(a, axis=-1) - a
     return a * delta * np.sqrt(1.0 - delta * delta) ** upstream
-
-
-def effective_gain(channel_vec, response, ratios, activation) -> float:
-    """Squared magnitude of the combined received amplitude.
-
-    |sum_k conj(h_k) * beta_k * g_k * a_k|^2, dimensionless.
-    """
-    a = as_activation(activation)
-    amp = np.sum(np.conj(channel_vec) * ratios * response * a)
-    return float(np.abs(amp) ** 2)

@@ -248,46 +248,41 @@ def ga_explore(
     return [make_tour(scenario, row) for row in top]
 
 
-def _fixed_endpoint_dp(points: np.ndarray) -> list[int]:
-    """Optimal visiting order of points[1:-1] between fixed points[0] and points[-1].
+def _best_path(dist, start: int, interior: Sequence[int], end: int) -> list[int]:
+    """Shortest path start -> every interior node once -> end, by bitmask DP.
 
-    Bitmask DP over the interior; returns interior indices (into `points`) in
-    visit order.
+    ``dist`` is a nested list of pairwise distances indexed by node; returns
+    the interior nodes in visit order. Ties go to the predecessor listed
+    earliest in ``interior``.
     """
-    n_int = points.shape[0] - 2
-    if n_int <= 1:
-        return list(range(1, 1 + n_int))
-    diff = points[:, None, :] - points[None, :, :]
-    d = np.linalg.norm(diff, axis=2)
-    interior = list(range(1, 1 + n_int))
-    full = (1 << n_int) - 1
-    cost = {}
-    parent = {}
-    for j, pj in enumerate(interior):
-        cost[(1 << j, j)] = d[0, pj]
-        parent[(1 << j, j)] = None
-    for mask in range(1, full + 1):
-        for j in range(n_int):
-            key = (mask, j)
-            if key not in cost or mask == full:
-                continue
-            base = cost[key]
-            for k in range(n_int):
-                bit = 1 << k
-                if mask & bit:
-                    continue
-                cand = base + d[interior[j], interior[k]]
-                nkey = (mask | bit, k)
-                if cand < cost.get(nkey, math.inf):
-                    cost[nkey] = cand
-                    parent[nkey] = key
-    end = points.shape[0] - 1
-    best_j = min(range(n_int), key=lambda j: (cost[(full, j)] + d[interior[j], end], j))
+    n = len(interior)
+    if n <= 1:
+        return list(interior)
+    local = [[dist[i][j] for j in interior] for i in interior]
+    cost = [[math.inf] * n for _ in range(1 << n)]
+    parent = [[-1] * n for _ in range(1 << n)]
+    for j, node in enumerate(interior):
+        cost[1 << j][j] = dist[start][node]
+    for mask in range(1, 1 << n):
+        if not mask & (mask - 1):
+            continue
+        members = [j for j in range(n) if mask >> j & 1]
+        for j in members:
+            prev_cost = cost[mask ^ (1 << j)]
+            best, arg = math.inf, -1
+            for k in members:
+                if k != j:
+                    c = prev_cost[k] + local[k][j]
+                    if c < best:
+                        best, arg = c, k
+            cost[mask][j] = best
+            parent[mask][j] = arg
+    mask = (1 << n) - 1
+    last = min(range(n), key=lambda j: (cost[mask][j] + dist[interior[j]][end], j))
     seq = []
-    key = (full, best_j)
-    while key is not None:
-        seq.append(interior[key[1]])
-        key = parent[key]
+    while last >= 0:
+        seq.append(interior[last])
+        mask, last = mask ^ (1 << last), parent[mask][last]
     return seq[::-1]
 
 
@@ -304,35 +299,26 @@ def dp_refine(scenario: Scenario, tour: Tour, subpath_length: int) -> Tour:
     m = scenario.node_count
     a = subpath_length
     order = list(tour.order)
-    station = np.asarray(scenario.station_m, dtype=float)
-    node_pos = scenario.node_positions()
-
-    def pos_of(seq):
-        return np.vstack([station[None, :] if i is None else node_pos[i][None, :] for i in seq])
+    dist = distance_matrix(scenario).tolist()
+    station = m
 
     b = m // a
-    new_order: list[int] = []
-    # Window boundaries over tour slots: [None(station), 0..a-1], [a-1..2a-1], ..., tail to station.
-    windows: list[tuple[Optional[int], list[int], Optional[int]]] = []
+    # Window boundaries over tour slots: [station, 0..a-1], [a-1..2a-1], ..., tail to station.
+    windows: list[tuple[int, list[int], int]] = []
     if b >= 1:
-        windows.append((None, order[0 : a - 1], order[a - 1]))
+        windows.append((station, order[0 : a - 1], order[a - 1]))
         for i in range(1, b):
             windows.append((order[i * a - 1], order[i * a : (i + 1) * a - 1], order[(i + 1) * a - 1]))
         tail = order[b * a :]
         if tail:
-            windows.append((order[b * a - 1], tail, None))
+            windows.append((order[b * a - 1], tail, station))
     else:
-        windows.append((None, order, None))
+        windows.append((station, order, station))
 
+    new_order: list[int] = []
     for start, interior, end in windows:
-        if len(interior) <= 1:
-            new_order.extend(interior)
-        else:
-            seq = [start] + interior + [end]
-            pts = pos_of(seq)
-            best = _fixed_endpoint_dp(pts)
-            new_order.extend(seq[i] for i in best)
-        if end is not None:
+        new_order.extend(_best_path(dist, start, interior, end))
+        if end != station:
             new_order.append(end)
 
     refined = make_tour(scenario, new_order)
@@ -384,35 +370,5 @@ def held_karp(scenario: Scenario) -> Tour:
     m = scenario.node_count
     if m > HELD_KARP_MAX_NODES:
         raise ValueError(f"held_karp supports at most {HELD_KARP_MAX_NODES} nodes, got {m}")
-    dist = distance_matrix(scenario)
-    station = m
-    if m == 1:
-        return make_tour(scenario, [0])
-
-    size = 1 << m
-    dp = np.full((size, m), np.inf)
-    parent = np.full((size, m), -1, dtype=int)
-    for j in range(m):
-        dp[1 << j, j] = dist[station, j]
-    for mask in range(1, size):
-        members = [j for j in range(m) if mask & (1 << j)]
-        if len(members) < 2:
-            continue
-        for j in members:
-            prev_mask = mask ^ (1 << j)
-            prev = [k for k in members if k != j]
-            costs = dp[prev_mask, prev] + dist[prev, j]
-            k = int(np.argmin(costs))
-            dp[mask, j] = costs[k]
-            parent[mask, j] = prev[k]
-    full = size - 1
-    totals = dp[full, :] + dist[:m, station]
-    last = int(np.argmin(totals))
-    order = []
-    mask = full
-    while last != -1:
-        order.append(last)
-        nxt = parent[mask, last]
-        mask ^= 1 << last
-        last = nxt
-    return make_tour(scenario, order[::-1])
+    dist = distance_matrix(scenario).tolist()
+    return make_tour(scenario, _best_path(dist, m, range(m), m))

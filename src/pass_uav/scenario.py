@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,6 +26,12 @@ TASK_CHOICES = (1, 2, 3, 4, 5)
 
 class ScenarioError(ValueError):
     """Invalid scenario data: a named invariant or schema field is violated."""
+
+
+def _require_finite(obj, names) -> None:
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise ScenarioError(f"{name} must be finite")
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -53,6 +60,10 @@ class PhysicsConfig:
     noise_power_w: float = field(init=False)
 
     def __post_init__(self):
+        _require_finite(self, (
+            "carrier_frequency_hz", "noise_power_dbm", "refraction_index",
+            "rate_threshold_bps_hz", "radiation_constant",
+        ))
         if self.carrier_frequency_hz <= 0:
             raise ScenarioError("carrier_frequency_hz must be positive")
         if self.refraction_index <= 0:
@@ -61,6 +72,11 @@ class PhysicsConfig:
             raise ScenarioError("radiation_constant must lie in (0, 1)")
         if self.rate_threshold_bps_hz <= 0:
             raise ScenarioError("rate_threshold_bps_hz must be positive")
+        # the power law scales with 2^R, which must stay a finite float
+        if self.rate_threshold_bps_hz >= sys.float_info.max_exp:
+            raise ScenarioError(
+                f"rate_threshold_bps_hz must lie below {sys.float_info.max_exp}"
+            )
         object.__setattr__(self, "wavelength_m", SPEED_OF_LIGHT / self.carrier_frequency_hz)
         object.__setattr__(self, "guided_wavelength_m", self.wavelength_m / self.refraction_index)
         object.__setattr__(self, "noise_power_w", dbm_to_watts(self.noise_power_dbm))
@@ -81,9 +97,12 @@ class WaveguideConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "pa_x_m", tuple(float(x) for x in self.pa_x_m))
+        _require_finite(self, ("y_m", "z_m", "span_m", "feed_x_m", "min_spacing_m"))
         xs = self.pa_x_m
         if not xs:
             raise ScenarioError("pa_x_m must contain at least one position")
+        if not all(math.isfinite(x) for x in xs):
+            raise ScenarioError("pa_x_m entries must be finite")
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ScenarioError("pa_x_m must be strictly increasing")
         if xs[0] < 0.0 or xs[-1] > self.span_m:
@@ -139,8 +158,11 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "station_m", tuple(float(v) for v in self.station_m))
         object.__setattr__(self, "nodes", tuple(self.nodes))
+        if len(self.station_m) != 3 or not all(math.isfinite(v) for v in self.station_m):
+            raise ScenarioError("station position must be a finite 3-vector")
         if not self.nodes:
             raise ScenarioError("scenario needs at least one delivery node")
+        _require_finite(self, ("flight_speed_mps", "delivery_speed_tps", "slot_seconds"))
         if self.flight_speed_mps <= 0:
             raise ScenarioError("flight_speed_mps must be positive")
         if self.delivery_speed_tps <= 0:
@@ -264,49 +286,78 @@ def save_scenario(s: Scenario, path: str | Path) -> None:
     Path(path).write_text(scenario_to_json(s) + "\n")
 
 
-def _require(mapping: dict, key: str, where: str):
+def _require(mapping, key: str, where: str):
+    if not isinstance(mapping, dict):
+        raise ScenarioError(f"{where} must be a JSON object")
     if key not in mapping:
         raise ScenarioError(f"scenario file is missing field '{key}' in {where}")
     return mapping[key]
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(mapping: dict, key: str, where: str) -> float:
+    value = _require(mapping, key, where)
+    if not _is_number(value):
+        raise ScenarioError(f"field '{key}' in {where} must be a number")
+    return float(value)
+
+
+def _numbers(mapping: dict, key: str, where: str) -> tuple[float, ...]:
+    value = _require(mapping, key, where)
+    if not isinstance(value, list) or not all(_is_number(v) for v in value):
+        raise ScenarioError(f"field '{key}' in {where} must be a list of numbers")
+    return tuple(float(v) for v in value)
+
+
+def _integer(mapping: dict, key: str, where: str) -> int:
+    value = _require(mapping, key, where)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"field '{key}' in {where} must be an integer")
+    return value
 
 
 def scenario_from_dict(data: dict) -> Scenario:
     physics_raw = _require(data, "physics", "top level")
     waveguide_raw = _require(data, "waveguide", "top level")
     speeds_raw = _require(data, "speeds", "top level")
+    nodes_raw = _require(data, "nodes", "top level")
+    if not isinstance(nodes_raw, list):
+        raise ScenarioError("field 'nodes' in top level must be a list")
 
     physics = PhysicsConfig(
-        carrier_frequency_hz=float(_require(physics_raw, "carrier_frequency_hz", "physics")),
-        noise_power_dbm=float(_require(physics_raw, "noise_power_dbm", "physics")),
-        refraction_index=float(_require(physics_raw, "refraction_index", "physics")),
-        rate_threshold_bps_hz=float(_require(physics_raw, "rate_threshold_bps_hz", "physics")),
-        radiation_constant=float(_require(physics_raw, "radiation_constant", "physics")),
+        carrier_frequency_hz=_number(physics_raw, "carrier_frequency_hz", "physics"),
+        noise_power_dbm=_number(physics_raw, "noise_power_dbm", "physics"),
+        refraction_index=_number(physics_raw, "refraction_index", "physics"),
+        rate_threshold_bps_hz=_number(physics_raw, "rate_threshold_bps_hz", "physics"),
+        radiation_constant=_number(physics_raw, "radiation_constant", "physics"),
     )
     waveguide = WaveguideConfig(
-        y_m=float(_require(waveguide_raw, "y_m", "waveguide")),
-        z_m=float(_require(waveguide_raw, "z_m", "waveguide")),
-        span_m=float(_require(waveguide_raw, "span_m", "waveguide")),
-        feed_x_m=float(_require(waveguide_raw, "feed_x_m", "waveguide")),
-        pa_x_m=tuple(_require(waveguide_raw, "pa_x_m", "waveguide")),
-        min_spacing_m=float(_require(waveguide_raw, "min_spacing_m", "waveguide")),
+        y_m=_number(waveguide_raw, "y_m", "waveguide"),
+        z_m=_number(waveguide_raw, "z_m", "waveguide"),
+        span_m=_number(waveguide_raw, "span_m", "waveguide"),
+        feed_x_m=_number(waveguide_raw, "feed_x_m", "waveguide"),
+        pa_x_m=_numbers(waveguide_raw, "pa_x_m", "waveguide"),
+        min_spacing_m=_number(waveguide_raw, "min_spacing_m", "waveguide"),
     )
-    nodes = []
-    for i, raw in enumerate(_require(data, "nodes", "top level")):
-        nodes.append(
-            DeliveryNode(
-                position_m=tuple(_require(raw, "position_m", f"nodes[{i}]")),
-                task_count=int(_require(raw, "task_count", f"nodes[{i}]")),
-            )
+    nodes = [
+        DeliveryNode(
+            position_m=_numbers(raw, "position_m", f"nodes[{i}]"),
+            task_count=_integer(raw, "task_count", f"nodes[{i}]"),
         )
+        for i, raw in enumerate(nodes_raw)
+    ]
     return Scenario(
         physics=physics,
         waveguide=waveguide,
-        station_m=tuple(_require(data, "station", "top level")),
+        station_m=_numbers(data, "station", "top level"),
         nodes=tuple(nodes),
-        flight_speed_mps=float(_require(speeds_raw, "flight_mps", "speeds")),
-        delivery_speed_tps=float(_require(speeds_raw, "delivery_tps", "speeds")),
-        slot_seconds=float(_require(data, "slot_seconds", "top level")),
-        rng_seed=int(_require(data, "seed", "top level")),
+        flight_speed_mps=_number(speeds_raw, "flight_mps", "speeds"),
+        delivery_speed_tps=_number(speeds_raw, "delivery_tps", "speeds"),
+        slot_seconds=_number(data, "slot_seconds", "top level"),
+        rng_seed=_integer(data, "seed", "top level"),
     )
 
 

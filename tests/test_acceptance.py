@@ -196,13 +196,18 @@ def test_criterion_8_radiation_power_conservation():
 
 
 def test_criterion_9_simulate_is_byte_deterministic(tmp_path):
-    dirs = [tmp_path / "run1", tmp_path / "run2"]
-    for d in dirs:
-        rc = cli.main(["simulate", "--seed", "7", "--out", str(d)])
-        assert rc == 0
-    names = ["tour.json", "slots.csv", "energy.csv", "trace_distance.csv", "hao_trace.csv"]
-    same = all((dirs[0] / n).read_bytes() == (dirs[1] / n).read_bytes() for n in names)
-    _verdict(9, same, f"{len(names)} output files byte-identical across runs")
+    names = ["tour.json", "slots.csv", "energy.csv", "energy.json", "trace_distance.csv"]
+    checked = 0
+    same = True
+    for strategy in ("hao:bnb", "held_karp:exhaustive", "nearest_neighbor:islr"):
+        dirs = [tmp_path / strategy.replace(":", "_") / run for run in ("run1", "run2")]
+        for d in dirs:
+            rc = cli.main(["simulate", "--seed", "7", "--strategy", strategy, "--out", str(d)])
+            assert rc == 0
+        files = names + (["hao_trace.csv"] if strategy.startswith("hao:") else [])
+        same = same and all((dirs[0] / n).read_bytes() == (dirs[1] / n).read_bytes() for n in files)
+        checked += len(files)
+    _verdict(9, same, f"{checked} output files over 3 strategies byte-identical across runs")
 
 
 def test_criterion_10_slot_count_oracle():

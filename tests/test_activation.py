@@ -59,7 +59,9 @@ def test_exhaustive_single_antenna():
 def test_exhaustive_aligned_phases_take_everything():
     # all phasors equal: every additional coupler adds amplitude
     phasors = np.ones(3, dtype=complex) * 1e-4
-    pr = act.ActivationProblem(phasors=phasors, delta=0.3, rho=1.0)
+    pr = act.ActivationProblem(
+        channel=np.conj(phasors), response=np.ones(3), delta=0.3, rho=1.0
+    )
     assert act.exhaustive_best(pr).tolist() == [1, 1, 1]
 
 
@@ -73,7 +75,9 @@ def test_exhaustive_beats_singles(reference):
 
 
 def test_exhaustive_guard():
-    pr = act.ActivationProblem(phasors=np.ones(21, dtype=complex), delta=0.3, rho=1.0)
+    pr = act.ActivationProblem(
+        channel=np.ones(21, dtype=complex), response=np.ones(21), delta=0.3, rho=1.0
+    )
     with pytest.raises(ValueError, match="20"):
         act.exhaustive_best(pr)
 

@@ -124,6 +124,35 @@ def test_scenario_file_roundtrip(tmp_path):
     assert rc == 0
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("slot_seconds",), float("inf")),
+        (("physics", "rate_threshold_bps_hz"), 2000),
+        (("physics", "rate_threshold_bps_hz"), float("nan")),
+        (("speeds", "flight_mps"), float("nan")),
+        (("nodes",), 5),
+        (("nodes", 0, "task_count"), 2.7),
+    ],
+    ids=["slot_seconds_inf", "rate_2000", "rate_nan", "speed_nan", "nodes_not_list",
+         "task_count_fraction"],
+)
+def test_malformed_scenario_file_exit_code(tmp_path, capsys, path, value):
+    data = scen.scenario_to_dict(scen.generate_scenario(3, 3))
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    scenario_file = tmp_path / "scenario.json"
+    scenario_file.write_text(json.dumps(data))
+    rc = cli.main(
+        ["simulate", "--scenario", str(scenario_file), "--strategy", "nearest_neighbor:full",
+         "--out", str(tmp_path / "sim")]
+    )
+    assert rc == cli.EXIT_CONFIG
+    assert "invalid configuration" in capsys.readouterr().err
+
+
 def test_infeasible_slot_exit_code(monkeypatch, tmp_path):
     def boom(*args, **kwargs):
         raise lb.InfeasibleSlotError("synthetic")

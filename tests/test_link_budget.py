@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from oracles import walk_slot_count
 
+from pass_uav import activation
 from pass_uav import link_budget as lb
 from pass_uav import route_planner as rp
 from pass_uav import scenario as scen
@@ -177,6 +178,6 @@ def test_realized_rate_meets_threshold():
     act = np.ones(10, dtype=int)
     report = lb.cycle_energy(s, plan, [act] * plan.total_slots)
     for slot, p in zip(plan.slots, report.per_slot_power_w):
-        gain = lb.slot_gain(s, slot.position_m, act)
+        gain = activation.ActivationProblem.from_scenario(s, slot.position_m).gain(act)
         rate = lb.achievable_rate(p, gain, s.physics.noise_power_w)
         assert rate >= s.physics.rate_threshold_bps_hz - 1e-9

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pass_uav import activation as act
 from pass_uav import propagation as prop
 from pass_uav import scenario as scen
 
@@ -103,40 +104,32 @@ def test_zero_activation_zero_ratios():
 
 
 def test_ratio_power_conservation_exhaustive():
-    # closed form sum(beta^2) = 1 - (1 - delta^2)^K_a over every bitmap, K = 10
+    # closed form sum(beta^2) = 1 - (1 - delta^2)^K_a over every bitmap, K = 10,
+    # all 2^10 bitmaps fed at once as one stack
     delta = 0.3
     k = 10
-    worst = 0.0
-    for word in range(1 << k):
-        bits = [(word >> i) & 1 for i in range(k)]
-        beta = prop.radiation_ratios(bits, delta)
-        expected = 1.0 - (1.0 - delta * delta) ** sum(bits)
-        worst = max(worst, abs(float(np.sum(beta * beta)) - expected))
-    assert worst < 1e-12
+    bits = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    beta = prop.radiation_ratios(bits, delta)
+    expected = 1.0 - (1.0 - delta * delta) ** bits.sum(axis=1)
+    assert np.max(np.abs(np.sum(beta * beta, axis=1) - expected)) < 1e-12
 
 
 def test_effective_gain_zero_activation(reference):
-    h = prop.channel(reference, (50.0, 10.0, 10.0))
-    g = prop.waveguide_response(reference)
-    a = np.zeros(10, dtype=int)
-    beta = prop.radiation_ratios(a, 0.3)
-    assert prop.effective_gain(h, g, beta, a) == 0.0
+    pr = act.ActivationProblem.from_scenario(reference, (50.0, 10.0, 10.0))
+    assert pr.gain(np.zeros(10, dtype=int)) == 0.0
 
 
 def test_effective_gain_single_antenna_phase_free(reference):
     h = prop.channel(reference, (50.0, 10.0, 10.0))
-    g = prop.waveguide_response(reference)
+    pr = act.ActivationProblem.from_scenario(reference, (50.0, 10.0, 10.0))
     a = np.zeros(10, dtype=int)
     a[4] = 1
-    beta = prop.radiation_ratios(a, 0.3)
-    gain = prop.effective_gain(h, g, beta, a)
-    assert gain == pytest.approx((0.3 * abs(h[4])) ** 2, rel=1e-12)
+    assert pr.gain(a) == pytest.approx((0.3 * abs(h[4])) ** 2, rel=1e-12)
 
 
 def test_destructive_pair_below_single():
     # construct two couplers whose total phase offset is half a wavelength
     base = scen.generate_scenario(7, 1)
-    lam = base.physics.wavelength_m
     lam_g = base.physics.guided_wavelength_m
     # place couplers so the guided paths differ by half a guided wavelength and
     # the free-space distances are equal: antisymmetric geometry around the UAV
@@ -150,26 +143,20 @@ def test_destructive_pair_below_single():
         slot_seconds=base.slot_seconds, rng_seed=base.rng_seed,
     )
     mid = ((x1 + x2) / 2.0, 30.0, 5.0)  # equidistant: free-space phases equal
-    h = prop.channel(s, mid)
-    g = prop.waveguide_response(s)
-    both = np.array([1, 1])
-    beta = prop.radiation_ratios(both, 0.3)
-    pair_gain = prop.effective_gain(h, g, beta, both)
-    single = np.array([1, 0])
-    beta_s = prop.radiation_ratios(single, 0.3)
-    single_gain = prop.effective_gain(h, g, beta_s, single)
-    assert pair_gain < single_gain
+    pr = act.ActivationProblem.from_scenario(s, mid)
+    assert pr.gain(np.array([1, 1])) < pr.gain(np.array([1, 0]))
 
 
 def test_effective_gain_global_phase_invariance(reference):
-    h = prop.channel(reference, (23.0, 41.0, 6.0))
-    g = prop.waveguide_response(reference)
+    pr = act.ActivationProblem.from_scenario(reference, (23.0, 41.0, 6.0))
     a = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1, 0])
-    beta = prop.radiation_ratios(a, 0.3)
-    base = prop.effective_gain(h, g, beta, a)
+    base = pr.gain(a)
     for phase in (0.3, 1.7, -2.2):
-        rotated = h * np.exp(1j * phase)
-        assert prop.effective_gain(rotated, g, beta, a) == pytest.approx(base, rel=1e-9)
+        rotated = act.ActivationProblem(
+            channel=pr.channel * np.exp(1j * phase), response=pr.response,
+            delta=pr.delta, rho=pr.rho,
+        )
+        assert rotated.gain(a) == pytest.approx(base, rel=1e-9)
 
 
 @settings(max_examples=60, deadline=None)
@@ -182,21 +169,17 @@ def test_effective_gain_global_phase_invariance(reference):
 def test_gain_respects_triangle_inequality(word, x, y, z):
     s = scen.generate_scenario(11, 3)
     bits = np.array([(word >> i) & 1 for i in range(10)], dtype=int)
-    h = prop.channel(s, (x, y, z))
-    g = prop.waveguide_response(s)
+    pr = act.ActivationProblem.from_scenario(s, (x, y, z))
     beta = prop.radiation_ratios(bits, 0.3)
-    gain = prop.effective_gain(h, g, beta, bits)
-    bound = float(np.sum(beta * np.abs(h))) ** 2
-    assert gain <= bound * (1.0 + 1e-9) + 1e-30
+    bound = float(np.sum(beta * np.abs(pr.channel))) ** 2
+    assert pr.gain(bits) <= bound * (1.0 + 1e-9) + 1e-30
 
 
 def test_single_antenna_gain_monotone_in_distance(reference):
     a = np.zeros(10, dtype=int)
     a[4] = 1
-    beta = prop.radiation_ratios(a, 0.3)
-    g = prop.waveguide_response(reference)
-    gains = []
-    for y in (5.0, 10.0, 20.0, 40.0, 80.0):
-        h = prop.channel(reference, (45.0, y, 5.0))
-        gains.append(prop.effective_gain(h, g, beta, a))
+    gains = [
+        act.ActivationProblem.from_scenario(reference, (45.0, y, 5.0)).gain(a)
+        for y in (5.0, 10.0, 20.0, 40.0, 80.0)
+    ]
     assert all(a_ > b_ for a_, b_ in zip(gains, gains[1:]))

@@ -143,6 +143,29 @@ def test_held_karp_size_guard():
         rp.held_karp(s)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=6),
+    closed=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_best_path_matches_permutation_enumeration(n, closed, seed):
+    # interior nodes 2..n+1 between start 0 and end 1, or start = end = 0
+    pts = np.random.default_rng(seed).uniform(0.0, 10.0, size=(n + 2, 3))
+    dist = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2).tolist()
+    start, end = (0, 0) if closed else (0, 1)
+    interior = list(range(2, n + 2))
+
+    def length(seq):
+        path = [start, *seq, end]
+        return sum(dist[a][b] for a, b in zip(path, path[1:]))
+
+    got = rp._best_path(dist, start, interior, end)
+    assert sorted(got) == interior
+    best = min(length(p) for p in itertools.permutations(interior))
+    assert length(got) == pytest.approx(best, rel=1e-12)
+
+
 def test_dp_refine_never_longer():
     rng = np.random.default_rng(3)
     for seed in range(8):
