@@ -123,6 +123,8 @@ def cmd_activate(args) -> int:
     if args.activator == "mimo":
         power = harness.mimo_required_power(scenario, spec.mimo, position)
         print(f"strategy: mimo (elements={spec.mimo.element_count})")
+        if not np.isfinite(power):  # the array's gain is always positive
+            raise lb.InfeasibleSlotError("the array needs more transmit power than a float holds")
     else:
         bits = harness.solve_slot(problem, args.activator, spec)
         gain = problem.gain(bits)
@@ -133,8 +135,8 @@ def cmd_activate(args) -> int:
         print(f"activation: {''.join(str(int(b)) for b in bits)}")
         print(f"K_a: {int(np.sum(bits))}")
         print(f"gain: {gain:.6e}")
-    if not np.isfinite(power):
-        raise lb.InfeasibleSlotError("zero gain at the requested position")
+        if not np.isfinite(power):
+            raise lb.infeasible("the requested position", gain)
     print(f"required power: {power:.6e} W ({scen.watts_to_dbm(power):.2f} dBm)")
     return EXIT_OK
 

@@ -52,7 +52,6 @@ class StrategySpec:
     ga: route_planner.GaConfig = field(default_factory=route_planner.GaConfig)
     hao: route_planner.HaoConfig = field(default_factory=route_planner.HaoConfig)
     islr_high_count: Optional[int] = None
-    bnb_epsilon: float = act.DEFAULT_EPSILON
     mimo: MimoConfig = field(default_factory=MimoConfig)
     reoptimize_hover: bool = False
 
@@ -115,7 +114,7 @@ def plan_tour(
 
 def solve_slot(problem: act.ActivationProblem, activator: str, spec: StrategySpec) -> np.ndarray:
     if activator == "bnb":
-        return act.bnb_optimize(problem, spec.bnb_epsilon)
+        return act.bnb_optimize(problem)
     if activator == "islr":
         return act.islr_optimize(problem, spec.islr_high_count)
     if activator == "exhaustive":
@@ -141,11 +140,10 @@ def solve_cycle(
         powers = tuple(
             mimo_required_power(scenario, spec.mimo, slot.position_m) for slot in plan.slots
         )
-        total = math.fsum(p * plan.slot_seconds for p in powers)
         return lb.EnergyReport(
             strategy_name="mimo",
             per_slot_power_w=powers,
-            total_energy_j=total,
+            total_energy_j=lb.cycle_total(powers, plan.slot_seconds),
             per_slot_activation=(),
         )
     activations: list[np.ndarray] = []

@@ -13,14 +13,20 @@ import numpy as np
 from . import propagation
 from .activation import ActivationProblem
 from .route_planner import Tour
-from .scenario import Scenario
+from .scenario import Scenario, ScenarioError
 
 FLYING = "flying"
 HOVERING = "hovering"
+# The most slots one cycle may hold. A plan keeps one object per slot and every
+# slot is solved and costed, so a scenario that asks for more (a tiny
+# slot_seconds, a near-zero speed) is rejected before anything is built. The
+# reference cycles hold a few hundred slots.
+MAX_SLOTS = 100_000
 
 
 class InfeasibleSlotError(RuntimeError):
-    """A slot has zero combined gain, so no finite power meets the rate floor."""
+    """No finite transmit power meets the rate floor at a slot: its combined
+    gain is zero, or the power it needs overflows a float."""
 
 
 def achievable_rate(power_w: float, gain: float, noise_power_w: float) -> float:
@@ -45,6 +51,15 @@ def required_power(gain: float, rate_threshold: float, noise_power_w: float) -> 
     return (2.0**rate_threshold - 1.0) * noise_power_w / gain
 
 
+def infeasible(where: str, gain: float) -> InfeasibleSlotError:
+    """The error for a place whose required power is infinite, naming the cause."""
+    if gain > 0.0:
+        return InfeasibleSlotError(
+            f"{where} needs more transmit power than a float holds (gain {gain:.6e})"
+        )
+    return InfeasibleSlotError(f"{where} has zero gain under its activation")
+
+
 @dataclass(frozen=True)
 class Slot:
     position_m: tuple[float, float, float]
@@ -65,18 +80,24 @@ class SlotPlan:
         return [i for i, s in enumerate(self.slots) if s.mode == FLYING]
 
 
-def _segment_slots(start: np.ndarray, end: np.ndarray, step_m: float) -> list[np.ndarray]:
-    """Flying-slot positions along one straight segment.
+def _slot_count(amount: float, per_slot: float) -> float:
+    """ceil(amount / per_slot), or inf when the quotient is not a finite float."""
+    try:
+        quotient = amount / per_slot
+    except (OverflowError, ZeroDivisionError):  # an int beyond float range; an underflowed step
+        return math.inf
+    return math.ceil(quotient) if math.isfinite(quotient) else math.inf
 
-    ceil(D / step) slots; slot j sits at the slot-start point j*step from the
-    segment start, except that a partial final slot is clamped onto the segment
-    endpoint so arrival geometry is exact.
+
+def _segment_slots(start: np.ndarray, end: np.ndarray, length: float, count: int,
+                   step_m: float) -> list[np.ndarray]:
+    """Flying-slot positions along one straight segment of ``count`` slots.
+
+    Slot j sits at the slot-start point j*step from the segment start, except
+    that a partial final slot is clamped onto the segment endpoint so arrival
+    geometry is exact.
     """
-    length = float(np.linalg.norm(end - start))
-    if length == 0.0:
-        return []
-    count = math.ceil(length / step_m)
-    direction = (end - start) / length
+    direction = (end - start) / length if count else None
     positions = []
     for j in range(count):
         if j == count - 1 and length - j * step_m < step_m:
@@ -89,9 +110,11 @@ def _segment_slots(start: np.ndarray, end: np.ndarray, step_m: float) -> list[np
 def discretize(scenario: Scenario, tour: Tour) -> SlotPlan:
     """Slot-by-slot flight cycle for a closed tour.
 
-    Flying slots advance v_f * tau along each straight segment (slot-start
-    positions, partial last slot clamped to the target); on arrival at node m
-    the UAV hovers for ceil(D_task_m / (v_d * tau)) slots.
+    Flying slots advance v_f * tau along each straight segment: ceil(D / (v_f
+    tau)) slots, at slot-start positions, with a partial last slot clamped to
+    the target. On arrival at node m the UAV hovers for ceil(D_task_m / (v_d *
+    tau)) slots. The counts are worked out before any slot is built, and a
+    cycle of more than MAX_SLOTS slots raises ScenarioError.
     """
     tau = scenario.slot_seconds
     fly_step = scenario.flight_speed_mps * tau
@@ -99,18 +122,25 @@ def discretize(scenario: Scenario, tour: Tour) -> SlotPlan:
     station = np.asarray(scenario.station_m, dtype=float)
     node_pos = scenario.node_positions()
 
+    stops = [station, *(node_pos[i] for i in tour.order), station]
+    lengths = [float(np.linalg.norm(b - a)) for a, b in zip(stops, stops[1:])]
+    fly_counts = [_slot_count(d, fly_step) if d > 0.0 else 0 for d in lengths]
+    hover_counts = [_slot_count(scenario.nodes[i].task_count, tasks_per_slot) for i in tour.order]
+    total = sum(fly_counts) + sum(hover_counts)
+    if not total <= MAX_SLOTS:
+        raise ScenarioError(
+            f"the cycle needs {total} slots, more than the {MAX_SLOTS} a plan may hold; "
+            "check slot_seconds and the speeds"
+        )
+
     slots: list[Slot] = []
-    current = station
-    for node_idx in tour.order:
-        target = node_pos[node_idx]
-        for p in _segment_slots(current, target, fly_step):
+    for leg, (a, b) in enumerate(zip(stops, stops[1:])):
+        for p in _segment_slots(a, b, lengths[leg], fly_counts[leg], fly_step):
             slots.append(Slot(position_m=tuple(p), mode=FLYING))
-        hover_count = math.ceil(scenario.nodes[node_idx].task_count / tasks_per_slot)
-        for _ in range(hover_count):
-            slots.append(Slot(position_m=tuple(target), mode=HOVERING, node_index=node_idx))
-        current = target
-    for p in _segment_slots(current, station, fly_step):
-        slots.append(Slot(position_m=tuple(p), mode=FLYING))
+        if leg < len(tour.order):
+            node_idx = tour.order[leg]
+            hover = Slot(position_m=tuple(b), mode=HOVERING, node_index=node_idx)
+            slots.extend(hover for _ in range(hover_counts[leg]))
     return SlotPlan(slots=tuple(slots), slot_seconds=tau)
 
 
@@ -126,6 +156,17 @@ class EnergyReport:
         return len(self.per_slot_power_w)
 
 
+def cycle_total(powers: Sequence[float], slot_seconds: float) -> float:
+    """Cycle energy sum(P_l * tau); InfeasibleSlotError when it is not a finite float."""
+    try:
+        total = math.fsum(p * slot_seconds for p in powers)
+    except OverflowError:  # finite terms whose sum leaves the float range
+        total = math.inf
+    if not math.isfinite(total):
+        raise InfeasibleSlotError("the cycle energy overflows a float")
+    return total
+
+
 def cycle_energy(
     scenario: Scenario,
     plan: SlotPlan,
@@ -134,8 +175,9 @@ def cycle_energy(
 ) -> EnergyReport:
     """Per-slot minimum power and the cycle total sum(P_l * tau).
 
-    Raises InfeasibleSlotError when any slot's activation yields zero gain;
-    a zero-gain slot is a configuration error, not an infinite-energy result.
+    Raises InfeasibleSlotError when a slot needs infinite power, and says
+    whether its activation has zero gain or the power overflows a float; such
+    a slot is a configuration error, not an infinite-energy result.
     """
     if len(activation_per_slot) != plan.total_slots:
         raise ValueError(
@@ -148,9 +190,9 @@ def cycle_energy(
         gain = ActivationProblem.from_scenario(scenario, slot.position_m).gain(act)
         p = required_power(gain, phys.rate_threshold_bps_hz, phys.noise_power_w)
         if not math.isfinite(p):
-            raise InfeasibleSlotError(f"slot {idx} has zero gain under its activation")
+            raise infeasible(f"slot {idx}", gain)
         powers.append(p)
-    total = math.fsum(p * plan.slot_seconds for p in powers)
+    total = cycle_total(powers, plan.slot_seconds)
     activations = tuple(propagation.as_activation(a) for a in activation_per_slot)
     return EnergyReport(
         strategy_name=strategy_name,

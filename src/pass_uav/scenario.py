@@ -107,6 +107,9 @@ class WaveguideConfig:
             raise ScenarioError("pa_x_m must be strictly increasing")
         if xs[0] < 0.0 or xs[-1] > self.span_m:
             raise ScenarioError("pa_x_m entries must lie within [0, span_m]")
+        # The coupling chain runs in array order, so the feed must come first.
+        if self.feed_x_m > xs[0]:
+            raise ScenarioError("feed_x_m must lie at or before the first coupler, pa_x_m[0]")
         if self.min_spacing_m <= 0:
             raise ScenarioError("min_spacing_m must be positive")
         gaps = [b - a for a, b in zip(xs, xs[1:])]
@@ -298,18 +301,25 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _float(value, key: str, where: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer literal beyond the float range
+        raise ScenarioError(f"field '{key}' in {where} is too large for a float") from None
+
+
 def _number(mapping: dict, key: str, where: str) -> float:
     value = _require(mapping, key, where)
     if not _is_number(value):
         raise ScenarioError(f"field '{key}' in {where} must be a number")
-    return float(value)
+    return _float(value, key, where)
 
 
 def _numbers(mapping: dict, key: str, where: str) -> tuple[float, ...]:
     value = _require(mapping, key, where)
     if not isinstance(value, list) or not all(_is_number(v) for v in value):
         raise ScenarioError(f"field '{key}' in {where} must be a list of numbers")
-    return tuple(float(v) for v in value)
+    return tuple(_float(v, key, where) for v in value)
 
 
 def _integer(mapping: dict, key: str, where: str) -> int:

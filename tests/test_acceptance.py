@@ -58,7 +58,7 @@ def test_criterion_1_bnb_matches_exhaustive_oracle():
         pos = (rng.uniform(0, 100), rng.uniform(0, 100), rng.uniform(2.5, 7.5))
         problem = act.ActivationProblem.from_scenario(scenario, pos)
         ex = problem.objective(act.exhaustive_best(problem))
-        bn = problem.objective(act.bnb_optimize(problem, 0.0))
+        bn = problem.objective(act.bnb_optimize(problem))
         worst = max(worst, abs(ex - bn) / max(abs(ex), 1e-30))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and elapsed < 60.0
@@ -174,7 +174,7 @@ def test_criterion_7_pass_beats_mimo_in_service_corridor():
     for _ in range(n):
         pos = (rng.uniform(50, 100), rng.uniform(0, 10), rng.uniform(2.5, 7.5))
         problem = act.ActivationProblem.from_scenario(scenario, pos)
-        bits = act.bnb_optimize(problem, 0.0)
+        bits = act.bnb_optimize(problem)
         p_pass = lb.required_power(problem.gain(bits), 7.0, scenario.physics.noise_power_w)
         p_mimo = harness.mimo_required_power(scenario, mimo, pos)
         wins += p_pass < p_mimo

@@ -133,9 +133,14 @@ def test_scenario_file_roundtrip(tmp_path):
         (("speeds", "flight_mps"), float("nan")),
         (("nodes",), 5),
         (("nodes", 0, "task_count"), 2.7),
+        (("waveguide", "feed_x_m"), 100.0),
+        (("speeds", "delivery_tps"), 1e-320),
+        (("physics", "noise_power_dbm"), 10**400),
+        (("slot_seconds",), 1e-9),
     ],
     ids=["slot_seconds_inf", "rate_2000", "rate_nan", "speed_nan", "nodes_not_list",
-         "task_count_fraction"],
+         "task_count_fraction", "feed_at_far_end", "delivery_tps_subnormal",
+         "noise_dbm_400_digits", "slots_over_cap"],
 )
 def test_malformed_scenario_file_exit_code(tmp_path, capsys, path, value):
     data = scen.scenario_to_dict(scen.generate_scenario(3, 3))
@@ -151,6 +156,28 @@ def test_malformed_scenario_file_exit_code(tmp_path, capsys, path, value):
     )
     assert rc == cli.EXIT_CONFIG
     assert "invalid configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "strategy, message",
+    [
+        ("nearest_neighbor:full", "more transmit power than a float holds"),
+        ("nearest_neighbor:mimo", "the cycle energy overflows a float"),
+    ],
+)
+def test_power_overflow_is_not_reported_as_zero_gain(tmp_path, capsys, strategy, message):
+    data = scen.scenario_to_dict(scen.generate_scenario(3, 3))
+    data["physics"]["noise_power_dbm"] = 3000.0
+    scenario_file = tmp_path / "scenario.json"
+    scenario_file.write_text(json.dumps(data))
+    rc = cli.main(
+        ["simulate", "--scenario", str(scenario_file), "--strategy", strategy,
+         "--out", str(tmp_path / "sim")]
+    )
+    assert rc == cli.EXIT_INFEASIBLE
+    err = capsys.readouterr().err
+    assert message in err
+    assert "zero gain" not in err
 
 
 def test_infeasible_slot_exit_code(monkeypatch, tmp_path):

@@ -50,7 +50,7 @@ def test_pass_beats_mimo_above_distant_coupler():
     s = scen.generate_scenario(7, 10)
     pos = (90.0, 1.0, 6.0)  # just off the coupler at x=85/95, far from the array
     pr = act.ActivationProblem.from_scenario(s, pos)
-    bits = act.bnb_optimize(pr, 0.0)
+    bits = act.bnb_optimize(pr)
     p_pass = lb.required_power(
         pr.gain(bits), s.physics.rate_threshold_bps_hz, s.physics.noise_power_w
     )
@@ -76,7 +76,7 @@ def test_run_dlo_first_slot_matches_direct_solver():
     out = harness.run_dlo(s, spec)
     first = out.slot_plan.slots[0]
     pr = act.ActivationProblem.from_scenario(s, first.position_m)
-    assert np.array_equal(out.reports[0].per_slot_activation[0], act.bnb_optimize(pr, spec.bnb_epsilon))
+    assert np.array_equal(out.reports[0].per_slot_activation[0], act.bnb_optimize(pr))
 
 
 def test_hover_slots_copy_previous_activation():

@@ -168,7 +168,7 @@ def test_infeasible_slot_raises():
     s = scen.generate_scenario(4, 2)
     plan = lb.discretize(s, rp.make_tour(s, [0, 1]))
     zero = np.zeros(10, dtype=int)
-    with pytest.raises(lb.InfeasibleSlotError):
+    with pytest.raises(lb.InfeasibleSlotError, match="slot 0 has zero gain"):
         lb.cycle_energy(s, plan, [zero] * plan.total_slots)
 
 
