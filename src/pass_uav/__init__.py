@@ -1,9 +1,10 @@
 """Energy-aware UAV delivery over a waveguide-fed pinching-antenna system.
 
 Outer layer: delivery-sequence planning (GA exploration with exact DP window
-refinement). Inner layer: per-slot antenna activation (exact branch-and-bound
-and a ranked-search heuristic) minimizing communication energy under a minimum
-rate constraint.
+refinement) on a cost matrix, the pairwise flight distances by default. Inner
+layer: per-slot antenna activation (an exact convex-hull dynamic program and a
+ranked-search heuristic) minimizing communication energy under a minimum rate
+constraint.
 """
 
 from .scenario import (

@@ -97,17 +97,28 @@ def _all_bitmaps(k: int) -> np.ndarray:
     return ((ints[:, None] >> np.arange(k)) & 1).astype(np.int8)
 
 
+def _scaled_phasors(problem: ActivationProblem) -> np.ndarray:
+    """The phasors over 2^e, e the binary exponent of the largest |phi| (none if
+    all are zero), so that the solvers' |z|^2 cannot underflow. A power-of-two
+    scale is exact, so it changes no ranking."""
+    phasors = np.asarray(problem.phasors, dtype=np.complex128)
+    peak = float(np.max(np.abs(phasors), initial=0.0))
+    exponent = math.frexp(peak)[1]  # 0 for a zero peak
+    return np.ldexp(phasors.view(np.float64), -exponent).view(np.complex128)
+
+
 def _amplitudes(bits, problem: ActivationProblem) -> np.ndarray:
-    """Radiated amplitude of each activation in a stack, summed in feed order.
+    """Scaled radiated amplitude of each activation in a stack, summed in feed order.
 
     `bnb_optimize` builds its points from the same products, added in the same
     order, so both give an activation the same float amplitude, and couplers
     with equal phasors give exactly tied amplitudes in both.
     """
     beta = propagation.radiation_ratios(bits, problem.delta)
+    phasors = _scaled_phasors(problem)
     amp = np.zeros(beta.shape[:-1], dtype=complex)
     for k in range(problem.size):
-        amp += beta[..., k] * problem.phasors[k]
+        amp += beta[..., k] * phasors[k]
     return amp
 
 
@@ -208,12 +219,13 @@ def bnb_optimize(problem: ActivationProblem, trace: Optional[BnbTrace] = None) -
     lexicographically smallest bitmap. The two can differ only by rounding: a
     point dropped from a hull edge is strictly weaker in exact arithmetic,
     yet its |z|^2 can round equal to the optimum's when the two lie within an
-    ulp, or when every |z|^2 underflows to zero (phasors below about 1e-154).
+    ulp. Both score the `_scaled_phasors`, so tiny phasors do not tie every
+    |z|^2 at an underflowed zero.
     """
     k = problem.size
     weights = propagation.radiation_ratios(np.ones(k, dtype=np.int8), problem.delta)
     # terms[n][j]: what coupler j radiates as the (n+1)-th active one
-    terms = (weights[:, None] * problem.phasors[None, :]).tolist()
+    terms = (weights[:, None] * _scaled_phasors(problem)[None, :]).tolist()
     # hulls[n]: hull vertices (x, y, key) of the amplitudes with n active
     # couplers; bit K-1-j of key is coupler j, so keys order as bitmaps do.
     hulls: list = [[(0.0, 0.0, 0)]]

@@ -58,7 +58,6 @@ def _spec_from(args) -> harness.StrategySpec:
         mutation_prob=args.pm,
         greedy_seed_fraction=args.pg,
         generations=args.generations,
-        candidate_count=max(1, args.population // 10),
     )
     hao = route_planner.HaoConfig(
         max_iterations=args.hao_iterations, subpath_length=args.subpath

@@ -25,20 +25,14 @@ ACTIVATORS = ("bnb", "islr", "full", "exhaustive", "mimo")
 
 @dataclass(frozen=True)
 class MimoConfig:
-    """Uniform linear array at the feed end, one RF chain per element.
-
-    Spacing defaults to half the carrier wavelength and is validated against
-    it when given explicitly.
-    """
+    """Uniform linear array at the feed end, one RF chain per element, with
+    the elements half a carrier wavelength apart."""
 
     element_count: int = 10
-    spacing_m: Optional[float] = None
     array_origin_m: tuple[float, float, float] = (0.0, 0.0, 5.0)
 
     def element_positions(self, wavelength_m: float) -> np.ndarray:
-        spacing = wavelength_m / 2.0 if self.spacing_m is None else self.spacing_m
-        if abs(spacing - wavelength_m / 2.0) > 1e-12 * wavelength_m:
-            raise ValueError("array spacing must equal half the carrier wavelength")
+        spacing = wavelength_m / 2.0
         origin = np.asarray(self.array_origin_m, dtype=float)
         out = np.tile(origin, (self.element_count, 1))
         out[:, 0] += spacing * np.arange(self.element_count)
@@ -97,19 +91,23 @@ def mimo_required_power(scenario: scen.Scenario, mimo: MimoConfig, uav_position_
 def plan_tour(
     scenario: scen.Scenario, spec: StrategySpec
 ) -> tuple[route_planner.Tour, tuple[float, ...]]:
-    """Outer-layer delivery sequence under the requested planner."""
-    if spec.planner == "hao":
-        rng = scen.rng_stream(scenario.rng_seed, "ga")
-        result = route_planner.hao_plan(scenario, spec.ga, spec.hao, rng)
-        return result.tour, result.best_distance_trace
-    if spec.planner == "ga_only":
-        rng = scen.rng_stream(scenario.rng_seed, "ga")
-        candidates = route_planner.ga_explore(scenario, spec.ga, rng)
-        best = min(candidates, key=lambda t: t.total_distance_m)
-        return best, ()
+    """Outer-layer delivery sequence under the requested planner.
+
+    This is where the outer layer's objective is chosen: every planner
+    minimizes a tour's cost on the scenario's distance matrix, built once per
+    plan (`nearest_neighbor` builds the same matrix itself).
+    """
     if spec.planner == "nearest_neighbor":
         return route_planner.nearest_neighbor(scenario), ()
-    return route_planner.held_karp(scenario), ()
+    dist = route_planner.distance_matrix(scenario)
+    if spec.planner == "held_karp":
+        return route_planner.held_karp(dist), ()
+    rng = scen.rng_stream(scenario.rng_seed, "ga")
+    if spec.planner == "hao":
+        result = route_planner.hao_plan(dist, spec.ga, spec.hao, rng)
+        return result.tour, result.best_distance_trace
+    candidates = route_planner.ga_explore(dist, spec.ga, rng)
+    return min(candidates, key=lambda t: t.total_distance_m), ()
 
 
 def solve_slot(problem: act.ActivationProblem, activator: str, spec: StrategySpec) -> np.ndarray:

@@ -3,7 +3,10 @@ dynamic-programming refinement of short subpaths, plus a nearest-neighbor
 constructor and an exact Held-Karp solver used as the small-instance oracle.
 
 Node indices are 0-based; a tour is a permutation of 0..M-1 traversed as a
-closed loop station -> order -> station. Distances are 3-D Euclidean.
+closed loop station -> order -> station. The planners see only an (M+1)x(M+1)
+cost matrix whose last row and column are the station, and a tour's cost is
+the sum of its edges' entries. `distance_matrix` builds the 3-D Euclidean one,
+on which that cost is the flight length.
 """
 
 from __future__ import annotations
@@ -17,11 +20,14 @@ import numpy as np
 from .scenario import Scenario
 
 HELD_KARP_MAX_NODES = 16
+# hao_plan stops after this many rounds in a row without improvement
+STALL_LIMIT = 3
 
 
 @dataclass(frozen=True)
 class Tour:
     order: tuple[int, ...]
+    # the tour's cost on the matrix it was built from
     total_distance_m: float
 
 
@@ -33,7 +39,6 @@ class GaConfig:
     mutation_prob: float = 0.05
     greedy_seed_fraction: float = 0.05
     generations: int = 100
-    candidate_count: int = 20
 
     def __post_init__(self):
         for name in ("selection_prob", "crossover_prob", "mutation_prob", "greedy_seed_fraction"):
@@ -42,18 +47,19 @@ class GaConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if self.greedy_seed_fraction >= 0.10:
             raise ValueError("greedy_seed_fraction must stay below 10%")
-        if self.candidate_count > self.population_size:
-            raise ValueError("candidate_count cannot exceed population_size")
         if self.population_size < 2 or self.generations < 1:
             raise ValueError("population_size >= 2 and generations >= 1 required")
+
+    @property
+    def candidate_count(self) -> int:
+        """How many tours `ga_explore` returns: the best tenth of its population."""
+        return max(1, self.population_size // 10)
 
 
 @dataclass(frozen=True)
 class HaoConfig:
     max_iterations: int = 10
     subpath_length: int = 3
-    # stop early after this many iterations without improvement
-    stall_limit: int = 3
 
     def __post_init__(self):
         if self.subpath_length < 2:
@@ -69,22 +75,8 @@ def distance_matrix(scenario: Scenario) -> np.ndarray:
     return np.linalg.norm(diff, axis=2)
 
 
-def _check_permutation(order: Sequence[int], m: int) -> np.ndarray:
-    arr = np.asarray(order, dtype=int)
-    if arr.shape != (m,) or sorted(arr.tolist()) != list(range(m)):
-        raise ValueError("order must be a permutation of 0..M-1")
-    return arr
-
-
-def tour_distance(scenario: Scenario, order: Sequence[int]) -> float:
-    """Closed-loop length |q_1 - q_S| + sum |q_{m+1} - q_m| + |q_M - q_S|."""
-    arr = _check_permutation(order, scenario.node_count)
-    dist = distance_matrix(scenario)
-    return _orders_distance(arr[None, :], dist)[0]
-
-
 def _orders_distance(orders: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """Vectorized closed-loop lengths for an (N, M) array of permutations."""
+    """Vectorized closed-loop costs for an (N, M) array of permutations."""
     station = dist.shape[0] - 1
     total = dist[station, orders[:, 0]] + dist[orders[:, -1], station]
     if orders.shape[1] > 1:
@@ -92,33 +84,30 @@ def _orders_distance(orders: np.ndarray, dist: np.ndarray) -> np.ndarray:
     return total
 
 
-def make_tour(scenario: Scenario, order: Sequence[int]) -> Tour:
-    return Tour(order=tuple(int(i) for i in order), total_distance_m=tour_distance(scenario, order))
+def make_tour(dist: np.ndarray, order: Sequence[int]) -> Tour:
+    """The closed loop station -> order -> station, costed on ``dist``."""
+    arr = np.asarray(order, dtype=int)
+    if arr.shape != (dist.shape[0] - 1,) or sorted(arr.tolist()) != list(range(arr.size)):
+        raise ValueError("order must be a permutation of 0..M-1")
+    return Tour(order=tuple(arr.tolist()), total_distance_m=_orders_distance(arr[None, :], dist)[0])
 
 
-def fitness(scenario: Scenario, order: Sequence[int]) -> float:
-    """Reciprocal of the closed-loop tour length; shorter tours score higher."""
-    return 1.0 / tour_distance(scenario, order)
-
-
-def ordered_crossover(parent1, parent2, segment: tuple[int, int], rng=None) -> np.ndarray:
+def ordered_crossover(parent1, parent2, segment: tuple[int, int]) -> np.ndarray:
     """OX child: parent1's segment kept in place, the rest filled in parent2 order.
 
-    ``segment`` is an inclusive 0-based (lo, hi) index pair into parent1.
+    The parents are permutations of 0..M-1; ``segment`` is an inclusive
+    0-based (lo, hi) index pair into parent1.
     """
     p1 = np.asarray(parent1, dtype=int)
     p2 = np.asarray(parent2, dtype=int)
     lo, hi = segment
     if not 0 <= lo <= hi < p1.size:
         raise ValueError("segment out of range")
-    child = np.full(p1.size, -1, dtype=int)
-    child[lo : hi + 1] = p1[lo : hi + 1]
-    kept = set(p1[lo : hi + 1].tolist())
-    filler = [v for v in p2.tolist() if v not in kept]
-    holes = [i for i in range(p1.size) if child[i] < 0]
-    for i, v in zip(holes, filler):
-        child[i] = v
-    return child
+    kept = p1[lo : hi + 1]
+    taken = np.zeros(p1.size, dtype=bool)
+    taken[kept] = True
+    rest = p2[~taken[p2]]
+    return np.concatenate((rest[:lo], kept, rest[lo:]))
 
 
 def inversion_mutation(parent, i: int, j: int) -> np.ndarray:
@@ -130,36 +119,41 @@ def inversion_mutation(parent, i: int, j: int) -> np.ndarray:
     return out
 
 
-def nearest_neighbor(scenario: Scenario, start_node: Optional[int] = None) -> Tour:
-    """Greedy construction from the station, optionally forcing the first visit."""
-    dist = distance_matrix(scenario)
-    m = scenario.node_count
-    station = m
-    unvisited = set(range(m))
-    order = []
-    current = station
-    if start_node is not None:
-        if not 0 <= start_node < m:
-            raise ValueError("start_node out of range")
-        order.append(start_node)
-        unvisited.remove(start_node)
-        current = start_node
+def _greedy(dist: np.ndarray, start_node: Optional[int]) -> list[int]:
+    """Nearest-neighbor walk from the station, optionally forcing the first visit."""
+    m = dist.shape[0] - 1
+    if start_node is not None and not 0 <= start_node < m:
+        raise ValueError("start_node out of range")
+    order = [] if start_node is None else [start_node]
+    unvisited = set(range(m)).difference(order)
+    current = m if start_node is None else start_node
     while unvisited:
-        nxt = min(unvisited, key=lambda n: (dist[current, n], n))
-        order.append(nxt)
-        unvisited.remove(nxt)
-        current = nxt
-    return make_tour(scenario, order)
+        current = min(unvisited, key=lambda n: (dist[current, n], n))
+        order.append(current)
+        unvisited.remove(current)
+    return order
+
+
+def nearest_neighbor(scenario: Scenario, start_node: Optional[int] = None) -> Tour:
+    """Greedy construction on the scenario's distances, optionally forcing the first visit."""
+    dist = distance_matrix(scenario)
+    return make_tour(dist, _greedy(dist, start_node))
+
+
+def _random_orders(rng: np.random.Generator, m: int, count: int) -> np.ndarray:
+    """``count`` random permutations of 0..m-1: the rows, and the generator
+    state after them, of ``count`` successive ``rng.permutation(m)`` calls."""
+    return rng.permuted(np.tile(np.arange(m), (count, 1)), axis=1)
 
 
 def _initial_population(
-    scenario: Scenario,
+    dist: np.ndarray,
     cfg: GaConfig,
     seed_orders: Optional[list[np.ndarray]],
     rng: np.random.Generator,
 ) -> np.ndarray:
     """Greedy/random mix; injected elite orders keep their slots on later rounds."""
-    m = scenario.node_count
+    m = dist.shape[0] - 1
     n = cfg.population_size
     rows: list[np.ndarray] = []
     if seed_orders:
@@ -169,10 +163,11 @@ def _initial_population(
         n_greedy = round(cfg.greedy_seed_fraction * n)
     for i in range(n_greedy):
         start = None if i == 0 else (i - 1) % m
-        rows.append(np.asarray(nearest_neighbor(scenario, start).order, dtype=int))
-    while len(rows) < n:
-        rows.append(rng.permutation(m))
-    return np.vstack(rows[:n])
+        rows.append(np.asarray(_greedy(dist, start), dtype=int))
+    rows = rows[:n]
+    if len(rows) < n:
+        rows.append(_random_orders(rng, m, n - len(rows)))
+    return np.vstack(rows)
 
 
 def _top_indices(values: np.ndarray, count: int) -> np.ndarray:
@@ -182,7 +177,7 @@ def _top_indices(values: np.ndarray, count: int) -> np.ndarray:
 
 
 def ga_explore(
-    scenario: Scenario,
+    dist: np.ndarray,
     cfg: GaConfig,
     rng: np.random.Generator,
     seed_population: Optional[list[Tour]] = None,
@@ -190,62 +185,53 @@ def ga_explore(
 ) -> list[Tour]:
     """Evolve a population of delivery sequences and return the top candidates.
 
-    Per generation: roulette selection without replacement keeps p_s*N
-    individuals; about p_c*p_s*N OX children (parent 1 drawn from the elite
-    tenth) and p_m*p_s*N inversion mutants are appended; the best half of that
-    pool survives and the rest of the population is resampled randomly. The
-    final population's best N/10 tours are returned, fittest first.
+    Fitness is the reciprocal of a tour's cost on ``dist``. Per generation:
+    roulette selection without replacement keeps p_s*N individuals; about
+    p_c*p_s*N OX children (parent 1 drawn from the elite tenth) and p_m*p_s*N
+    inversion mutants are appended; the best half of that pool survives and
+    the rest of the population is resampled randomly. The final population's
+    best N/10 tours are returned, fittest first.
     """
-    m = scenario.node_count
-    dist = distance_matrix(scenario)
+    m = dist.shape[0] - 1
     seeds = [np.asarray(t.order, dtype=int) for t in seed_population] if seed_population else None
-    population = _initial_population(scenario, cfg, seeds, rng)
+    population = _initial_population(dist, cfg, seeds, rng)
     n = cfg.population_size
     keep = max(2, round(cfg.selection_prob * n))
+    fit = 1.0 / _orders_distance(population, dist)
 
     for _ in range(cfg.generations):
-        fit = 1.0 / _orders_distance(population, dist)
-        probs = fit / fit.sum()
-        selected_idx = rng.choice(n, size=keep, replace=False, p=probs)
-        pool = population[np.sort(selected_idx)]
-        pool_fit = 1.0 / _orders_distance(pool, dist)
+        selected_idx = np.sort(rng.choice(n, size=keep, replace=False, p=fit / fit.sum()))
+        pool = population[selected_idx]
 
         elite_count = max(1, round(0.10 * keep))
-        elites = pool[_top_indices(pool_fit, elite_count)]
+        elites = pool[_top_indices(fit[selected_idx], elite_count)]
 
-        children = []
+        parts = [pool]
         n_cross = round(cfg.crossover_prob * keep)
         if n_cross and m >= 2:
             partners = rng.choice(keep, size=min(n_cross, keep), replace=False)
             for idx in partners:
                 p1 = elites[rng.integers(elite_count)]
                 lo, hi = sorted(rng.integers(0, m, size=2).tolist())
-                children.append(ordered_crossover(p1, pool[idx], (lo, hi)))
-        mutants = []
+                parts.append(ordered_crossover(p1, pool[idx], (lo, hi)))
         n_mut = round(cfg.mutation_prob * keep)
         if n_mut and m >= 2:
             chosen = rng.choice(keep, size=min(n_mut, keep), replace=False)
             for idx in chosen:
                 lo, hi = sorted(rng.integers(0, m, size=2).tolist())
-                mutants.append(inversion_mutation(pool[idx], lo, hi))
+                parts.append(inversion_mutation(pool[idx], lo, hi))
 
-        parts = [pool]
-        if children:
-            parts.append(np.vstack(children))
-        if mutants:
-            parts.append(np.vstack(mutants))
         combined = np.vstack(parts)
         comb_fit = 1.0 / _orders_distance(combined, dist)
-        half = min(n // 2, combined.shape[0])
-        survivors = combined[_top_indices(comb_fit, half)]
-        refill = np.vstack([rng.permutation(m) for _ in range(n - half)]) if n > half else None
-        population = np.vstack([survivors, refill]) if refill is not None else survivors
+        survivors = combined[_top_indices(comb_fit, min(n // 2, combined.shape[0]))]
+        population = np.vstack([survivors, _random_orders(rng, m, n - len(survivors))])
+        costs = _orders_distance(population, dist)
+        fit = 1.0 / costs
         if best_trace is not None:
-            best_trace.append(float(_orders_distance(population, dist).min()))
+            best_trace.append(float(costs.min()))
 
-    final_fit = 1.0 / _orders_distance(population, dist)
-    top = population[_top_indices(final_fit, max(1, cfg.candidate_count))]
-    return [make_tour(scenario, row) for row in top]
+    top = population[_top_indices(fit, cfg.candidate_count)]
+    return [make_tour(dist, row) for row in top]
 
 
 def _best_path(dist, start: int, interior: Sequence[int], end: int) -> list[int]:
@@ -286,42 +272,28 @@ def _best_path(dist, start: int, interior: Sequence[int], end: int) -> list[int]
     return seq[::-1]
 
 
-def dp_refine(scenario: Scenario, tour: Tour, subpath_length: int) -> Tour:
+def dp_refine(dist: np.ndarray, tour: Tour, subpath_length: int) -> Tour:
     """Exactly reorder the interior of each overlapping-endpoint window.
 
     The closed tour is cut into floor(M/a)+1 windows of a+1 points sharing
-    endpoints; each window's interior is solved to the fixed-endpoint optimum
+    endpoints (a = ``subpath_length``); each window's interior is solved to the fixed-endpoint optimum
     and the windows are recombined in order. The refined tour replaces the
-    input only when strictly shorter.
+    input only when strictly cheaper.
     """
     if subpath_length < 2:
         raise ValueError("subpath_length must be >= 2")
-    m = scenario.node_count
-    a = subpath_length
-    order = list(tour.order)
-    dist = distance_matrix(scenario).tolist()
-    station = m
-
-    b = m // a
-    # Window boundaries over tour slots: [station, 0..a-1], [a-1..2a-1], ..., tail to station.
-    windows: list[tuple[int, list[int], int]] = []
-    if b >= 1:
-        windows.append((station, order[0 : a - 1], order[a - 1]))
-        for i in range(1, b):
-            windows.append((order[i * a - 1], order[i * a : (i + 1) * a - 1], order[(i + 1) * a - 1]))
-        tail = order[b * a :]
-        if tail:
-            windows.append((order[b * a - 1], tail, station))
-    else:
-        windows.append((station, order, station))
-
+    costs = dist.tolist()
+    station = dist.shape[0] - 1
+    path = [station, *tour.order, station]
+    # Window endpoints: every a-th point of the closed path, then the final station.
+    cuts = [*range(0, len(path) - 1, subpath_length), len(path) - 1]
     new_order: list[int] = []
-    for start, interior, end in windows:
-        new_order.extend(_best_path(dist, start, interior, end))
-        if end != station:
-            new_order.append(end)
+    for lo, hi in zip(cuts, cuts[1:]):
+        new_order.extend(_best_path(costs, path[lo], path[lo + 1 : hi], path[hi]))
+        if hi < len(path) - 1:
+            new_order.append(path[hi])
 
-    refined = make_tour(scenario, new_order)
+    refined = make_tour(dist, new_order)
     return refined if refined.total_distance_m < tour.total_distance_m else tour
 
 
@@ -332,7 +304,7 @@ class HaoResult:
 
 
 def hao_plan(
-    scenario: Scenario,
+    dist: np.ndarray,
     ga_cfg: GaConfig,
     hao_cfg: HaoConfig,
     rng: np.random.Generator,
@@ -340,8 +312,8 @@ def hao_plan(
     """Alternate GA exploration with DP refinement, tracking the best tour.
 
     Refined candidates are injected into the next round's population; the loop
-    stops after ``max_iterations`` rounds or once the best distance has not
-    improved for ``stall_limit`` consecutive rounds. The recorded trace is the
+    stops after ``max_iterations`` rounds or once the best cost has not
+    improved for ``STALL_LIMIT`` consecutive rounds. The recorded trace is the
     running best, hence non-increasing.
     """
     best: Optional[Tour] = None
@@ -349,8 +321,8 @@ def hao_plan(
     injected: Optional[list[Tour]] = None
     stall = 0
     for _ in range(hao_cfg.max_iterations):
-        candidates = ga_explore(scenario, ga_cfg, rng, seed_population=injected)
-        refined = [dp_refine(scenario, t, hao_cfg.subpath_length) for t in candidates]
+        candidates = ga_explore(dist, ga_cfg, rng, seed_population=injected)
+        refined = [dp_refine(dist, t, hao_cfg.subpath_length) for t in candidates]
         it_best = min(refined, key=lambda t: t.total_distance_m)
         if best is None or it_best.total_distance_m < best.total_distance_m:
             best = it_best
@@ -358,17 +330,16 @@ def hao_plan(
         else:
             stall += 1
         trace.append(best.total_distance_m)
-        if stall >= hao_cfg.stall_limit:
+        if stall >= STALL_LIMIT:
             break
         injected = refined
     assert best is not None
     return HaoResult(tour=best, best_distance_trace=tuple(trace))
 
 
-def held_karp(scenario: Scenario) -> Tour:
+def held_karp(dist: np.ndarray) -> Tour:
     """Exact optimal closed tour by bitmask DP; guarded to M <= 16 nodes."""
-    m = scenario.node_count
+    m = dist.shape[0] - 1
     if m > HELD_KARP_MAX_NODES:
         raise ValueError(f"held_karp supports at most {HELD_KARP_MAX_NODES} nodes, got {m}")
-    dist = distance_matrix(scenario).tolist()
-    return make_tour(scenario, _best_path(dist, m, range(m), m))
+    return make_tour(dist, _best_path(dist.tolist(), m, range(m), m))

@@ -26,3 +26,16 @@ def walk_slot_count(scenario, order):
             tasks -= scenario.delivery_speed_tps * tau
             slots += 1
     return slots
+
+
+def ordered_crossover_reference(parent1, parent2, segment):
+    """Hole-filling OX oracle: copy parent1's inclusive segment into an empty
+    child, then fill the holes left to right with parent2's remaining genes in
+    parent2's order."""
+    p1 = [int(v) for v in parent1]
+    lo, hi = segment
+    kept = set(p1[lo : hi + 1])
+    child = [None] * len(p1)
+    child[lo : hi + 1] = p1[lo : hi + 1]
+    filler = iter(v for v in (int(v) for v in parent2) if v not in kept)
+    return np.array([next(filler) if v is None else v for v in child], dtype=int)

@@ -44,8 +44,9 @@ def _hao_nine(seed: int) -> tuple:
     scenario = scen.generate_scenario(seed, 9)
     ga = rp.GaConfig()  # population 200, p_s 0.4, p_c 0.6, p_m 0.05, 100 generations
     hao = rp.HaoConfig()  # subpath length 3
-    result = rp.hao_plan(scenario, ga, hao, scen.rng_stream(seed, "ga"))
-    optimum = rp.held_karp(scenario).total_distance_m
+    dist = rp.distance_matrix(scenario)
+    result = rp.hao_plan(dist, ga, hao, scen.rng_stream(seed, "ga"))
+    optimum = rp.held_karp(dist).total_distance_m
     return result, optimum
 
 
@@ -117,7 +118,7 @@ def test_criterion_5_rate_threshold_scaling():
         scenario = scen.generate_scenario(
             11, 6, physics_overrides={"rate_threshold_bps_hz": rth}
         )
-        plan = lb.discretize(scenario, rp.make_tour(scenario, tour.order))
+        plan = lb.discretize(scenario, rp.make_tour(rp.distance_matrix(scenario), tour.order))
         for activator in ("bnb", "islr", "full", "mimo"):
             report = harness.solve_cycle(scenario, plan, activator, spec)
             totals.setdefault(activator, []).append(report.total_energy_j)
@@ -217,7 +218,7 @@ def test_criterion_10_slot_count_oracle():
         m = int(rng.integers(1, 13))
         scenario = scen.generate_scenario(int(rng.integers(0, 100_000)), m)
         order = rng.permutation(m).tolist()
-        plan = lb.discretize(scenario, rp.make_tour(scenario, order))
+        plan = lb.discretize(scenario, rp.make_tour(rp.distance_matrix(scenario), order))
         if plan.total_slots != walk_slot_count(scenario, order):
             mismatches += 1
     ok = mismatches == 0

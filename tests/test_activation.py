@@ -144,6 +144,8 @@ def test_bnb_equals_exhaustive_bit_for_bit(phasors, delta):
         ([1e-4, 1e-4], [1, 1]),  # the twins' singles coincide; the pair beats both
         ([1e-4, 1e-4, 0], [1, 1, 0]),  # a silent coupler ties; fewest active wins
         ([0, 1e-4, -1e-4], [0, 0, 1]),  # opposite singles tie; the smaller bitmap wins
+        # every |z|^2 would underflow to a tie at zero without the phasor scaling
+        (np.array([1, 1j, -1 - 1j, 0.01]) * 1e-170, [0, 0, 1, 0]),
     ],
 )
 def test_bnb_ties_resolve_like_exhaustive(phasors, expected):

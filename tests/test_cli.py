@@ -1,6 +1,10 @@
+import contextlib
+import copy
+import io
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pass_uav import cli, link_budget as lb
 from pass_uav import scenario as scen
@@ -195,3 +199,68 @@ def test_argparse_rejects_unknown_subcommand():
     with pytest.raises(SystemExit) as exc:
         cli.main(["frobnicate"])
     assert exc.value.code == 2
+
+
+# Values a hand-edited or generated scenario file might hold in any field.
+_ODD_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.floats(min_value=-200.0, max_value=200.0),
+    st.integers(min_value=-(10**30), max_value=10**400),
+    st.sampled_from([0, 1, True, None, "1", [], {}, [1.0, 2.0, 3.0], [0.0] * 4]),
+)
+
+
+def _leaves(tree, path=()):
+    """Paths to every value in a scenario dict, containers included."""
+    yield path
+    items = tree.items() if isinstance(tree, dict) else enumerate(tree) if isinstance(tree, list) else ()
+    for key, child in items:
+        yield from _leaves(child, (*path, key))
+
+
+def _simulate(data, tmp_path):
+    """Load ``data`` as the CLI does, then run one nearest_neighbor:full cycle
+    on it; returns the exit code and stderr."""
+    try:
+        scen.scenario_from_dict(data)
+    except scen.ScenarioError:
+        pass
+    scenario_file = tmp_path / "scenario.json"
+    scenario_file.write_text(json.dumps(data))
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(
+            ["simulate", "--scenario", str(scenario_file), "--strategy", "nearest_neighbor:full",
+             "--out", str(tmp_path / "sim")]
+        )
+    return rc, err.getvalue()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    data=st.data(),
+    m=st.integers(min_value=1, max_value=3),
+    k=st.integers(min_value=1, max_value=4),
+)
+def test_fuzzed_scenario_files_end_in_documented_exit_codes(tmp_path_factory, data, m, k):
+    seed = data.draw(st.integers(min_value=0, max_value=99))
+    scenario = scen.scenario_to_dict(scen.generate_scenario(seed, m, pa_count=k))
+    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+        path = data.draw(st.sampled_from(list(_leaves(scenario))[1:]))
+        parent = scenario
+        for key in path[:-1]:
+            parent = parent[key]
+        if isinstance(parent, dict) and data.draw(st.booleans()):
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(data.draw(_ODD_VALUES))
+    rc, _ = _simulate(scenario, tmp_path_factory.mktemp("fuzz"))
+    assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_INFEASIBLE)
+
+
+def test_huge_task_count_exits_through_the_slot_cap(tmp_path):
+    scenario = scen.scenario_to_dict(scen.generate_scenario(3, 2, pa_count=4))
+    scenario["nodes"][1]["task_count"] = 10**30
+    rc, err = _simulate(scenario, tmp_path)
+    assert rc == cli.EXIT_CONFIG
+    assert f"more than the {lb.MAX_SLOTS}" in err

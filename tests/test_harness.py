@@ -10,7 +10,7 @@ from pass_uav import link_budget as lb
 from pass_uav import route_planner as rp
 from pass_uav import scenario as scen
 
-FAST_GA = rp.GaConfig(population_size=40, generations=12, candidate_count=4)
+FAST_GA = rp.GaConfig(population_size=40, generations=12)
 FAST_HAO = rp.HaoConfig(max_iterations=2)
 
 
@@ -37,13 +37,6 @@ def test_mimo_element_doubling_halves_power():
     p10 = harness.mimo_required_power(s, harness.MimoConfig(element_count=10), pos)
     p20 = harness.mimo_required_power(s, harness.MimoConfig(element_count=20), pos)
     assert p10 / p20 == pytest.approx(2.0, rel=1e-3)
-
-
-def test_mimo_spacing_validation():
-    s = scen.generate_scenario(7, 1)
-    bad = harness.MimoConfig(spacing_m=0.02)  # not half the true wavelength
-    with pytest.raises(ValueError, match="half the carrier wavelength"):
-        harness.mimo_required_power(s, bad, (50.0, 10.0, 5.0))
 
 
 def test_pass_beats_mimo_above_distant_coupler():

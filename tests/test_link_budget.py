@@ -56,7 +56,7 @@ def test_discretize_hand_example():
     # one node 10 m out, 5 tasks at 0.5 tasks/s, tau = 1 s, v_f = 5 m/s:
     # 2 flying out + 10 hovering + 2 flying back = 14 slots
     s = _single_node_scenario((10.0, 0.0, 0.0))
-    tour = rp.make_tour(s, [0])
+    tour = rp.make_tour(rp.distance_matrix(s), [0])
     plan = lb.discretize(s, tour)
     assert plan.total_slots == 14
     modes = [slot.mode for slot in plan.slots]
@@ -67,15 +67,15 @@ def test_discretize_hand_example():
 def test_halving_tau_doubles_integral_hover_count():
     s1 = _single_node_scenario((10.0, 0.0, 0.0), tasks=5, tau=1.0)
     s2 = _single_node_scenario((10.0, 0.0, 0.0), tasks=5, tau=0.5)
-    tour = rp.make_tour(s1, [0])
+    tour = rp.make_tour(rp.distance_matrix(s1), [0])
     hov1 = sum(1 for sl in lb.discretize(s1, tour).slots if sl.mode == lb.HOVERING)
-    hov2 = sum(1 for sl in lb.discretize(s2, rp.make_tour(s2, [0])).slots if sl.mode == lb.HOVERING)
+    hov2 = sum(1 for sl in lb.discretize(s2, tour).slots if sl.mode == lb.HOVERING)
     assert hov1 == 10 and hov2 == 20
 
 
 def test_station_at_node_gives_hover_only():
     s = _single_node_scenario((0.0, 0.0, 0.0))
-    plan = lb.discretize(s, rp.make_tour(s, [0]))
+    plan = lb.discretize(s, rp.make_tour(rp.distance_matrix(s), [0]))
     assert all(slot.mode == lb.HOVERING for slot in plan.slots)
     assert plan.total_slots == 10
 
@@ -83,7 +83,7 @@ def test_station_at_node_gives_hover_only():
 def test_partial_final_slot_clamps_to_node():
     # 12 m at 5 m/s: slots at 0 m, 5 m, then the 2 m remainder pinned on the node
     s = _single_node_scenario((12.0, 0.0, 0.0))
-    plan = lb.discretize(s, rp.make_tour(s, [0]))
+    plan = lb.discretize(s, rp.make_tour(rp.distance_matrix(s), [0]))
     flying_out = [sl for sl in plan.slots[:3]]
     assert [sl.mode for sl in flying_out] == [lb.FLYING] * 3
     assert flying_out[0].position_m[0] == pytest.approx(0.0)
@@ -93,7 +93,7 @@ def test_partial_final_slot_clamps_to_node():
 
 def test_exact_multiple_segment_keeps_slot_start_positions():
     s = _single_node_scenario((10.0, 0.0, 0.0))
-    plan = lb.discretize(s, rp.make_tour(s, [0]))
+    plan = lb.discretize(s, rp.make_tour(rp.distance_matrix(s), [0]))
     assert plan.slots[0].position_m[0] == pytest.approx(0.0)
     assert plan.slots[1].position_m[0] == pytest.approx(5.0)
 
@@ -104,13 +104,13 @@ def test_slot_count_matches_walk_oracle_on_random_tours():
         m = int(rng.integers(1, 8))
         s = scen.generate_scenario(int(rng.integers(0, 10_000)), m)
         order = rng.permutation(m).tolist()
-        plan = lb.discretize(s, rp.make_tour(s, order))
+        plan = lb.discretize(s, rp.make_tour(rp.distance_matrix(s), order))
         assert plan.total_slots == walk_slot_count(s, order)
 
 
 def test_cycle_energy_constant_position():
     s = _single_node_scenario((0.0, 20.0, 5.0), tasks=5)
-    plan = lb.discretize(s, rp.make_tour(s, [0]))
+    plan = lb.discretize(s, rp.make_tour(rp.distance_matrix(s), [0]))
     act = np.zeros(10, dtype=int)
     act[2] = 1
     report = lb.cycle_energy(s, plan, [act] * plan.total_slots)
@@ -124,7 +124,7 @@ def test_cycle_energy_single_position_is_slots_times_power():
     # station on the node: every slot hovers at the same point, so the cycle
     # total collapses to L * P * tau
     s = _single_node_scenario((0.0, 0.0, 0.0), tasks=5, tau=2.0)
-    plan = lb.discretize(s, rp.make_tour(s, [0]))
+    plan = lb.discretize(s, rp.make_tour(rp.distance_matrix(s), [0]))
     act = np.ones(10, dtype=int)
     report = lb.cycle_energy(s, plan, [act] * plan.total_slots)
     p = report.per_slot_power_w[0]
@@ -133,7 +133,7 @@ def test_cycle_energy_single_position_is_slots_times_power():
 
 def test_cycle_energy_total_is_sum():
     s = scen.generate_scenario(4, 3)
-    plan = lb.discretize(s, rp.make_tour(s, [0, 1, 2]))
+    plan = lb.discretize(s, rp.make_tour(rp.distance_matrix(s), [0, 1, 2]))
     act = np.ones(10, dtype=int)
     report = lb.cycle_energy(s, plan, [act] * plan.total_slots)
     assert report.total_energy_j == pytest.approx(
@@ -147,7 +147,7 @@ def test_rate_threshold_ratio_is_exact():
     plans = {}
     for rth in (5.0, 6.0):
         s = scen.generate_scenario(4, 3, physics_overrides={"rate_threshold_bps_hz": rth})
-        plan = lb.discretize(s, rp.make_tour(s, [0, 1, 2]))
+        plan = lb.discretize(s, rp.make_tour(rp.distance_matrix(s), [0, 1, 2]))
         act = np.ones(10, dtype=int)
         plans[rth] = lb.cycle_energy(s, plan, [act] * plan.total_slots).total_energy_j
     assert plans[6.0] / plans[5.0] == pytest.approx(63.0 / 31.0, rel=1e-12)
@@ -158,7 +158,7 @@ def test_energy_strictly_increasing_in_rate():
     energies = []
     for rth in (3.0, 4.0, 5.0, 6.0, 7.0):
         s = scen.generate_scenario(4, 3, physics_overrides={"rate_threshold_bps_hz": rth})
-        plan = lb.discretize(s, rp.make_tour(s, [0, 1, 2]))
+        plan = lb.discretize(s, rp.make_tour(rp.distance_matrix(s), [0, 1, 2]))
         act = np.ones(10, dtype=int)
         energies.append(lb.cycle_energy(s, plan, [act] * plan.total_slots).total_energy_j)
     assert all(a < b for a, b in zip(energies, energies[1:]))
@@ -166,7 +166,7 @@ def test_energy_strictly_increasing_in_rate():
 
 def test_infeasible_slot_raises():
     s = scen.generate_scenario(4, 2)
-    plan = lb.discretize(s, rp.make_tour(s, [0, 1]))
+    plan = lb.discretize(s, rp.make_tour(rp.distance_matrix(s), [0, 1]))
     zero = np.zeros(10, dtype=int)
     with pytest.raises(lb.InfeasibleSlotError, match="slot 0 has zero gain"):
         lb.cycle_energy(s, plan, [zero] * plan.total_slots)
@@ -174,7 +174,7 @@ def test_infeasible_slot_raises():
 
 def test_realized_rate_meets_threshold():
     s = scen.generate_scenario(4, 2)
-    plan = lb.discretize(s, rp.make_tour(s, [0, 1]))
+    plan = lb.discretize(s, rp.make_tour(rp.distance_matrix(s), [0, 1]))
     act = np.ones(10, dtype=int)
     report = lb.cycle_energy(s, plan, [act] * plan.total_slots)
     for slot, p in zip(plan.slots, report.per_slot_power_w):

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pass_uav import harness
 from pass_uav import route_planner as rp
 from pass_uav import scenario as scen
+
+from oracles import ordered_crossover_reference
 
 
 def _scenario_with_nodes(positions, station=(0.0, 0.0, 0.0)):
@@ -17,11 +20,14 @@ def _scenario_with_nodes(positions, station=(0.0, 0.0, 0.0)):
     )
 
 
-def brute_force_best(scenario):
-    m = scenario.node_count
+def _dist(seed, m):
+    return rp.distance_matrix(scen.generate_scenario(seed, m))
+
+
+def brute_force_best(dist):
     best = None
-    for perm in itertools.permutations(range(m)):
-        d = rp.tour_distance(scenario, perm)
+    for perm in itertools.permutations(range(dist.shape[0] - 1)):
+        d = rp.make_tour(dist, perm).total_distance_m
         if best is None or d < best[1]:
             best = (perm, d)
     return best
@@ -29,14 +35,14 @@ def brute_force_best(scenario):
 
 def test_single_node_out_and_back():
     s = _scenario_with_nodes([(3.0, 4.0, 0.0)])
-    assert rp.tour_distance(s, [0]) == pytest.approx(10.0)
+    assert rp.make_tour(rp.distance_matrix(s), [0]).total_distance_m == pytest.approx(10.0)
 
 
 def test_reversed_order_same_distance():
-    s = scen.generate_scenario(3, 6)
+    dist = _dist(3, 6)
     order = [0, 1, 2, 3, 4, 5]
-    assert rp.tour_distance(s, order) == pytest.approx(
-        rp.tour_distance(s, order[::-1]), rel=1e-12
+    assert rp.make_tour(dist, order).total_distance_m == pytest.approx(
+        rp.make_tour(dist, order[::-1]).total_distance_m, rel=1e-12
     )
 
 
@@ -44,27 +50,22 @@ def test_unit_square_matches_enumeration():
     s = _scenario_with_nodes(
         [(0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (1.0, 1.0, 0.0), (0.0, 1.0, 0.0)]
     )
-    _, best_d = brute_force_best(s)
-    hk = rp.held_karp(s)
+    dist = rp.distance_matrix(s)
+    _, best_d = brute_force_best(dist)
+    hk = rp.held_karp(dist)
     assert hk.total_distance_m == pytest.approx(best_d, rel=1e-12)
     assert best_d == pytest.approx(4.0)
 
 
-def test_fitness_reciprocal():
-    s = _scenario_with_nodes([(50.0, 0.0, 0.0)])
-    assert rp.fitness(s, [0]) == pytest.approx(0.01)
-    assert rp.fitness(s, [0]) * rp.tour_distance(s, [0]) == pytest.approx(1.0)
-
-
 def test_ordered_crossover_hand_trace():
     # keep positions 3..4 (1-based) of parent 1, fill from parent 2 in order
-    child = rp.ordered_crossover([1, 2, 3, 4, 5], [5, 4, 3, 2, 1], (2, 3))
-    assert child.tolist() == [5, 2, 3, 4, 1]
+    child = rp.ordered_crossover([0, 1, 2, 3, 4], [4, 3, 2, 1, 0], (2, 3))
+    assert child.tolist() == [4, 1, 2, 3, 0]
 
 
 def test_ordered_crossover_full_segment_is_parent1():
-    child = rp.ordered_crossover([3, 1, 4, 2, 5], [5, 4, 3, 2, 1], (0, 4))
-    assert child.tolist() == [3, 1, 4, 2, 5]
+    child = rp.ordered_crossover([2, 0, 3, 1, 4], [4, 3, 2, 1, 0], (0, 4))
+    assert child.tolist() == [2, 0, 3, 1, 4]
 
 
 def test_ordered_crossover_identical_parents():
@@ -107,20 +108,20 @@ def test_nearest_neighbor_valid_and_bounded_by_optimum():
         s = scen.generate_scenario(seed, 7)
         greedy = rp.nearest_neighbor(s)
         assert sorted(greedy.order) == list(range(7))
-        assert greedy.total_distance_m >= rp.held_karp(s).total_distance_m - 1e-9
+        assert greedy.total_distance_m >= rp.held_karp(rp.distance_matrix(s)).total_distance_m - 1e-9
 
 
 def test_held_karp_single_node():
     s = _scenario_with_nodes([(3.0, 4.0, 0.0)])
-    tour = rp.held_karp(s)
+    tour = rp.held_karp(rp.distance_matrix(s))
     assert tour.order == (0,)
     assert tour.total_distance_m == pytest.approx(10.0)
 
 
 def test_held_karp_matches_enumeration_m8():
-    s = scen.generate_scenario(12, 8)
-    _, best_d = brute_force_best(s)
-    assert rp.held_karp(s).total_distance_m == pytest.approx(best_d, rel=1e-12)
+    dist = _dist(12, 8)
+    _, best_d = brute_force_best(dist)
+    assert rp.held_karp(dist).total_distance_m == pytest.approx(best_d, rel=1e-12)
 
 
 def test_held_karp_relabel_invariant():
@@ -132,15 +133,14 @@ def test_held_karp_relabel_invariant():
         flight_speed_mps=s.flight_speed_mps, delivery_speed_tps=s.delivery_speed_tps,
         slot_seconds=s.slot_seconds, rng_seed=s.rng_seed,
     )
-    assert rp.held_karp(shuffled).total_distance_m == pytest.approx(
-        rp.held_karp(s).total_distance_m, rel=1e-12
+    assert rp.held_karp(rp.distance_matrix(shuffled)).total_distance_m == pytest.approx(
+        rp.held_karp(rp.distance_matrix(s)).total_distance_m, rel=1e-12
     )
 
 
 def test_held_karp_size_guard():
-    s = scen.generate_scenario(0, 17)
     with pytest.raises(ValueError, match="16"):
-        rp.held_karp(s)
+        rp.held_karp(_dist(0, 17))
 
 
 @settings(max_examples=60, deadline=None)
@@ -169,83 +169,82 @@ def test_best_path_matches_permutation_enumeration(n, closed, seed):
 def test_dp_refine_never_longer():
     rng = np.random.default_rng(3)
     for seed in range(8):
-        s = scen.generate_scenario(seed, 9)
+        dist = _dist(seed, 9)
         order = rng.permutation(9).tolist()
-        tour = rp.make_tour(s, order)
-        refined = rp.dp_refine(s, tour, 3)
+        tour = rp.make_tour(dist, order)
+        refined = rp.dp_refine(dist, tour, 3)
         assert refined.total_distance_m <= tour.total_distance_m + 1e-12
         assert sorted(refined.order) == list(range(9))
 
 
 def test_dp_refine_window_reaches_enumerated_optimum():
     # single window spanning the whole tour (M < a): interior fully reordered
-    s = scen.generate_scenario(21, 4)
+    dist = _dist(21, 4)
     worst = max(
-        (rp.make_tour(s, p) for p in itertools.permutations(range(4))),
+        (rp.make_tour(dist, p) for p in itertools.permutations(range(4))),
         key=lambda t: t.total_distance_m,
     )
-    refined = rp.dp_refine(s, worst, 5)
-    _, best_d = brute_force_best(s)
+    refined = rp.dp_refine(dist, worst, 5)
+    _, best_d = brute_force_best(dist)
     assert refined.total_distance_m == pytest.approx(best_d, rel=1e-12)
 
 
 def test_dp_refine_keeps_optimal_tour():
-    s = scen.generate_scenario(2, 7)
-    best = rp.held_karp(s)
-    assert rp.dp_refine(s, best, 3) is best
+    dist = _dist(2, 7)
+    best = rp.held_karp(dist)
+    assert rp.dp_refine(dist, best, 3) is best
 
 
 def test_ga_explore_saturates_tiny_instance():
-    s = scen.generate_scenario(5, 3)
-    cfg = rp.GaConfig(population_size=30, generations=10, candidate_count=3)
+    dist = _dist(5, 3)
+    cfg = rp.GaConfig(population_size=30, generations=10)
     rng = np.random.default_rng(0)
-    candidates = rp.ga_explore(s, cfg, rng)
-    _, best_d = brute_force_best(s)
+    candidates = rp.ga_explore(dist, cfg, rng)
+    _, best_d = brute_force_best(dist)
     assert min(t.total_distance_m for t in candidates) == pytest.approx(best_d, rel=1e-9)
 
 
 def test_ga_explore_candidate_count_default_split():
-    s = scen.generate_scenario(5, 8)
-    cfg = rp.GaConfig(population_size=200, generations=3, candidate_count=20)
+    cfg = rp.GaConfig(population_size=200, generations=3)
+    assert cfg.candidate_count == 20
     rng = np.random.default_rng(0)
-    candidates = rp.ga_explore(s, cfg, rng)
+    candidates = rp.ga_explore(_dist(5, 8), cfg, rng)
     assert len(candidates) == 20
     assert all(sorted(t.order) == list(range(8)) for t in candidates)
 
 
 def test_ga_explore_elitist_best_is_monotone():
-    s = scen.generate_scenario(6, 10)
-    cfg = rp.GaConfig(population_size=60, generations=25, candidate_count=6)
+    cfg = rp.GaConfig(population_size=60, generations=25)
     trace = []
-    rp.ga_explore(s, cfg, np.random.default_rng(1), best_trace=trace)
+    rp.ga_explore(_dist(6, 10), cfg, np.random.default_rng(1), best_trace=trace)
     assert all(a >= b - 1e-12 for a, b in zip(trace, trace[1:]))
 
 
 def test_ga_config_validation():
     with pytest.raises(ValueError, match="10%"):
         rp.GaConfig(greedy_seed_fraction=0.10)
-    with pytest.raises(ValueError):
-        rp.GaConfig(candidate_count=300)
+    # the top tenth, and at least one tour
+    assert rp.GaConfig(population_size=60).candidate_count == 6
+    assert rp.GaConfig(population_size=9).candidate_count == 1
 
 
 def test_hao_trace_nonincreasing_and_injection():
-    s = scen.generate_scenario(13, 9)
-    ga = rp.GaConfig(population_size=60, generations=15, candidate_count=6)
+    ga = rp.GaConfig(population_size=60, generations=15)
     hao = rp.HaoConfig(max_iterations=4)
-    result = rp.hao_plan(s, ga, hao, np.random.default_rng(2))
+    result = rp.hao_plan(_dist(13, 9), ga, hao, np.random.default_rng(2))
     assert all(a >= b for a, b in zip(result.best_distance_trace, result.best_distance_trace[1:]))
     assert sorted(result.tour.order) == list(range(9))
 
 
 def test_hao_single_iteration_reduces_to_ga_plus_refine():
-    s = scen.generate_scenario(13, 6)
-    ga = rp.GaConfig(population_size=40, generations=10, candidate_count=4)
+    dist = _dist(13, 6)
+    ga = rp.GaConfig(population_size=40, generations=10)
     hao = rp.HaoConfig(max_iterations=1)
-    result = rp.hao_plan(s, ga, hao, np.random.default_rng(2))
+    result = rp.hao_plan(dist, ga, hao, np.random.default_rng(2))
     assert len(result.best_distance_trace) == 1
 
-    candidates = rp.ga_explore(s, ga, np.random.default_rng(2))
-    refined = [rp.dp_refine(s, t, 3) for t in candidates]
+    candidates = rp.ga_explore(dist, ga, np.random.default_rng(2))
+    refined = [rp.dp_refine(dist, t, 3) for t in candidates]
     expected = min(t.total_distance_m for t in refined)
     assert result.tour.total_distance_m == pytest.approx(expected, rel=1e-12)
 
@@ -253,11 +252,11 @@ def test_hao_single_iteration_reduces_to_ga_plus_refine():
 def test_hao_matches_held_karp_on_small_instances():
     hits = 0
     for seed in range(6):
-        s = scen.generate_scenario(seed, 7)
-        ga = rp.GaConfig(population_size=80, generations=30, candidate_count=8)
+        dist = _dist(seed, 7)
+        ga = rp.GaConfig(population_size=80, generations=30)
         hao = rp.HaoConfig(max_iterations=3)
-        result = rp.hao_plan(s, ga, hao, np.random.default_rng(seed))
-        optimum = rp.held_karp(s).total_distance_m
+        result = rp.hao_plan(dist, ga, hao, np.random.default_rng(seed))
+        optimum = rp.held_karp(dist).total_distance_m
         assert result.tour.total_distance_m >= optimum - 1e-9
         if result.tour.total_distance_m <= optimum * (1.0 + 1e-9):
             hits += 1
@@ -265,7 +264,72 @@ def test_hao_matches_held_karp_on_small_instances():
 
 
 def test_tour_distance_cache_is_consistent():
-    s = scen.generate_scenario(1, 6)
+    # make_tour costs station -> order -> station on the matrix it is given
+    dist = _dist(1, 6)
     order = [3, 1, 4, 0, 5, 2]
-    tour = rp.make_tour(s, order)
-    assert tour.total_distance_m == pytest.approx(rp.tour_distance(s, order), rel=1e-12)
+    path = [6, *order, 6]
+    tour = rp.make_tour(dist, order)
+    assert tour.order == tuple(order)
+    assert tour.total_distance_m == pytest.approx(
+        sum(dist[a, b] for a, b in zip(path, path[1:])), rel=1e-12
+    )
+    # any matrix, not only distances; rows and columns are (from, to)
+    skew = dist + np.triu(np.full_like(dist, 100.0))
+    assert rp.make_tour(skew, order).total_distance_m == pytest.approx(
+        sum(skew[a, b] for a, b in zip(path, path[1:])), rel=1e-12
+    )
+    for bad in ([3, 1, 4, 0, 5], [3, 1, 4, 0, 5, 5], [3, 1, 4, 0, 5, 6]):
+        with pytest.raises(ValueError, match="permutation"):
+            rp.make_tour(dist, bad)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=30),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_mask_crossover_matches_hole_filling_reference(m, seed):
+    rng = np.random.default_rng(seed)
+    p1, p2 = rng.permutation(m), rng.permutation(m)
+    lo, hi = sorted(rng.integers(0, m, size=2).tolist())
+    child = rp.ordered_crossover(p1, p2, (lo, hi))
+    assert child.tolist() == ordered_crossover_reference(p1, p2, (lo, hi)).tolist()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 10, 30])
+@pytest.mark.parametrize("count", [1, 7, 100])
+def test_batched_refill_matches_successive_permutations(m, count):
+    batched, successive = np.random.default_rng(m * count), np.random.default_rng(m * count)
+    rows = rp._random_orders(batched, m, count)
+    assert rows.tolist() == [successive.permutation(m).tolist() for _ in range(count)]
+    assert batched.bit_generator.state == successive.bit_generator.state
+
+
+# Default-spec plans at seed 7, as floats' reprs. They pin the outer layer's
+# random stream and arithmetic across changes (the GA's draws, crossover,
+# refill and DP windows), which a comparison of two runs of one tree cannot.
+GOLDEN_PLANS = {
+    ("hao", 10): (
+        (5, 6, 8, 1, 3, 7, 4, 0, 2, 9),
+        ("333.4493128925391", "318.975647527313", "318.975647527313", "318.975647527313",
+         "318.975647527313"),
+        "318.975647527313",
+    ),
+    ("ga_only", 30): (
+        (19, 24, 8, 23, 9, 12, 29, 28, 2, 7, 16, 15, 22, 20, 5, 14, 21, 4, 0, 11, 13, 27, 26, 3,
+         25, 18, 17, 10, 1, 6),
+        (),
+        "595.7238049987675",
+    ),
+}
+
+
+@pytest.mark.parametrize("planner, m", sorted(GOLDEN_PLANS))
+def test_default_plan_is_unchanged(planner, m):
+    order, trace, length = GOLDEN_PLANS[planner, m]
+    tour, got_trace = harness.plan_tour(
+        scen.generate_scenario(7, m), harness.StrategySpec(planner=planner)
+    )
+    assert tour.order == order
+    assert tuple(repr(float(t)) for t in got_trace) == trace
+    assert repr(float(tour.total_distance_m)) == length
