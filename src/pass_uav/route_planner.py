@@ -92,31 +92,42 @@ def make_tour(dist: np.ndarray, order: Sequence[int]) -> Tour:
     return Tour(order=tuple(arr.tolist()), total_distance_m=_orders_distance(arr[None, :], dist)[0])
 
 
-def ordered_crossover(parent1, parent2, segment: tuple[int, int]) -> np.ndarray:
-    """OX child: parent1's segment kept in place, the rest filled in parent2 order.
+def _crossover_rows(p1: np.ndarray, p2: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Row-wise OX of (k, M) parents, row i keeping p1's [lo[i], hi[i]]. Each
+    row's free columns take, in order, p2's genes outside p1's segment."""
+    cols = np.arange(p1.shape[1])
+    seg = (cols >= lo[:, None]) & (cols <= hi[:, None])
+    taken = np.zeros(p1.shape, dtype=bool)
+    taken[np.nonzero(seg)[0], p1[seg]] = True
+    child = p1.copy()
+    child[~seg] = p2[~np.take_along_axis(taken, p2, 1)]
+    return child
 
-    The parents are permutations of 0..M-1; ``segment`` is an inclusive
-    0-based (lo, hi) index pair into parent1.
-    """
-    p1 = np.asarray(parent1, dtype=int)
-    p2 = np.asarray(parent2, dtype=int)
+
+def ordered_crossover(parent1, parent2, segment: tuple[int, int]) -> np.ndarray:
+    """OX child of two permutations of 0..M-1: parent1's inclusive 0-based
+    ``segment`` (lo, hi) kept in place, the rest filled in parent2's order."""
+    p1, p2 = np.asarray(parent1, dtype=int), np.asarray(parent2, dtype=int)
     lo, hi = segment
     if not 0 <= lo <= hi < p1.size:
         raise ValueError("segment out of range")
-    kept = p1[lo : hi + 1]
-    taken = np.zeros(p1.size, dtype=bool)
-    taken[kept] = True
-    rest = p2[~taken[p2]]
-    return np.concatenate((rest[:lo], kept, rest[lo:]))
+    return _crossover_rows(p1[None], p2[None], np.array([lo]), np.array([hi]))[0]
+
+
+def _invert_rows(parents: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Reverse each row's inclusive slice [lo[i]..hi[i]] of a (k, M) array."""
+    cols = np.arange(parents.shape[1])
+    lo, hi = lo[:, None], hi[:, None]
+    src = np.where((cols >= lo) & (cols <= hi), lo + hi - cols, cols)
+    return np.take_along_axis(parents, src, 1)
 
 
 def inversion_mutation(parent, i: int, j: int) -> np.ndarray:
-    """Reverse the inclusive slice [i..j]; i <= j, 0-based."""
-    if i > j:
-        raise ValueError("need i <= j")
-    out = np.asarray(parent, dtype=int).copy()
-    out[i : j + 1] = out[i : j + 1][::-1]
-    return out
+    """Reverse the inclusive slice [i..j]; 0 <= i <= j < M, 0-based."""
+    p = np.asarray(parent, dtype=int)
+    if not 0 <= i <= j < p.size:
+        raise ValueError("need 0 <= i <= j < M")
+    return _invert_rows(p[None], np.array([i]), np.array([j]))[0]
 
 
 def _greedy(dist: np.ndarray, start_node: Optional[int]) -> list[int]:
@@ -146,6 +157,25 @@ def _random_orders(rng: np.random.Generator, m: int, count: int) -> np.ndarray:
     return rng.permuted(np.tile(np.arange(m), (count, 1)), axis=1)
 
 
+def _bounded_draws(rng: np.random.Generator, ranges: np.ndarray) -> np.ndarray:
+    """``rng.integers(r)`` for each r of ``ranges`` (1 <= r < 2**32), row-major:
+    the same values and generator state, from one call for the raw words.
+    numpy maps a 32-bit word w to (w*r) >> 32 (Lemire's method), rejecting it
+    for the next word when the low half of w*r is below (2**32 - r) % r; a
+    range of 1 takes no word."""
+    live = ranges[ranges > 1].astype(np.uint64)
+    threshold = (2**32 - live) % live
+    words = rng.integers(0, 2**32, size=live.size, dtype=np.uint32).astype(np.uint64)
+    i = 0
+    while (rejected := np.flatnonzero((words[i:] * live[i:]) & 0xFFFFFFFF < threshold[i:])).size:
+        # drop the first rejected word: every later draw moves one word on
+        i += rejected[0]
+        words[i:] = np.append(words[i + 1 :], rng.integers(0, 2**32, dtype=np.uint32))
+    out = np.zeros(ranges.shape, dtype=np.int64)
+    out[ranges > 1] = (words * live) >> 32
+    return out
+
+
 def _initial_population(
     dist: np.ndarray,
     cfg: GaConfig,
@@ -165,15 +195,12 @@ def _initial_population(
         start = None if i == 0 else (i - 1) % m
         rows.append(np.asarray(_greedy(dist, start), dtype=int))
     rows = rows[:n]
-    if len(rows) < n:
-        rows.append(_random_orders(rng, m, n - len(rows)))
-    return np.vstack(rows)
+    return np.vstack([*rows, _random_orders(rng, m, n - len(rows))])
 
 
 def _top_indices(values: np.ndarray, count: int) -> np.ndarray:
     """Indices of the `count` largest values, ties broken by lower index."""
-    order = np.lexsort((np.arange(values.size), -values))
-    return order[:count]
+    return np.argsort(-values, kind="stable")[:count]
 
 
 def ga_explore(
@@ -197,7 +224,8 @@ def ga_explore(
     population = _initial_population(dist, cfg, seeds, rng)
     n = cfg.population_size
     keep = max(2, round(cfg.selection_prob * n))
-    fit = 1.0 / _orders_distance(population, dist)
+    costs = _orders_distance(population, dist)
+    fit = 1.0 / costs
 
     for _ in range(cfg.generations):
         selected_idx = np.sort(rng.choice(n, size=keep, replace=False, p=fit / fit.sum()))
@@ -210,22 +238,23 @@ def ga_explore(
         n_cross = round(cfg.crossover_prob * keep)
         if n_cross and m >= 2:
             partners = rng.choice(keep, size=min(n_cross, keep), replace=False)
-            for idx in partners:
-                p1 = elites[rng.integers(elite_count)]
-                lo, hi = sorted(rng.integers(0, m, size=2).tolist())
-                parts.append(ordered_crossover(p1, pool[idx], (lo, hi)))
+            # per child: its elite parent, then both segment ends
+            draws = _bounded_draws(rng, np.tile([elite_count, m, m], (partners.size, 1)))
+            lo, hi = np.sort(draws[:, 1:], axis=1).T
+            parts.append(_crossover_rows(elites[draws[:, 0]], pool[partners], lo, hi))
         n_mut = round(cfg.mutation_prob * keep)
         if n_mut and m >= 2:
             chosen = rng.choice(keep, size=min(n_mut, keep), replace=False)
-            for idx in chosen:
-                lo, hi = sorted(rng.integers(0, m, size=2).tolist())
-                parts.append(inversion_mutation(pool[idx], lo, hi))
+            lo, hi = np.sort(_bounded_draws(rng, np.full((chosen.size, 2), m)), axis=1).T
+            parts.append(_invert_rows(pool[chosen], lo, hi))
 
+        # a row's cost is independent of its batch: only new rows are costed
         combined = np.vstack(parts)
-        comb_fit = 1.0 / _orders_distance(combined, dist)
-        survivors = combined[_top_indices(comb_fit, min(n // 2, combined.shape[0]))]
-        population = np.vstack([survivors, _random_orders(rng, m, n - len(survivors))])
-        costs = _orders_distance(population, dist)
+        comb_costs = np.concatenate([costs[selected_idx], _orders_distance(combined[keep:], dist)])
+        survivors = _top_indices(1.0 / comb_costs, min(n // 2, combined.shape[0]))
+        refill = _random_orders(rng, m, n - survivors.size)
+        population = np.vstack([combined[survivors], refill])
+        costs = np.concatenate([comb_costs[survivors], _orders_distance(refill, dist)])
         fit = 1.0 / costs
         if best_trace is not None:
             best_trace.append(float(costs.min()))

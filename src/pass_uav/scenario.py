@@ -22,6 +22,9 @@ SPACE_X = (0.0, 100.0)
 SPACE_Y = (0.0, 100.0)
 SPACE_Z = (2.5, 7.5)
 TASK_CHOICES = (1, 2, 3, 4, 5)
+# Largest coordinate magnitude a scenario may hold, in meters: the squared
+# distance between any two points, at most 3 * (2e150)**2, stays a finite float.
+MAX_COORDINATE_M = 1e150
 
 
 class ScenarioError(ValueError):
@@ -32,6 +35,11 @@ def _require_finite(obj, names) -> None:
     for name in names:
         if not math.isfinite(getattr(obj, name)):
             raise ScenarioError(f"{name} must be finite")
+
+
+def _within_bounds(coordinates) -> bool:
+    """Every coordinate finite and within ±MAX_COORDINATE_M (NaN fails the test)."""
+    return all(abs(v) <= MAX_COORDINATE_M for v in coordinates)
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -101,8 +109,10 @@ class WaveguideConfig:
         xs = self.pa_x_m
         if not xs:
             raise ScenarioError("pa_x_m must contain at least one position")
-        if not all(math.isfinite(x) for x in xs):
-            raise ScenarioError("pa_x_m entries must be finite")
+        if not _within_bounds((self.y_m, self.z_m, self.feed_x_m, *xs)):
+            raise ScenarioError(
+                f"y_m, z_m, feed_x_m and pa_x_m must lie within ±{MAX_COORDINATE_M:g} m"
+            )
         if any(b <= a for a, b in zip(xs, xs[1:])):
             raise ScenarioError("pa_x_m must be strictly increasing")
         if xs[0] < 0.0 or xs[-1] > self.span_m:
@@ -141,8 +151,8 @@ class DeliveryNode:
 
     def __post_init__(self):
         object.__setattr__(self, "position_m", tuple(float(v) for v in self.position_m))
-        if len(self.position_m) != 3 or not all(math.isfinite(v) for v in self.position_m):
-            raise ScenarioError("node position must be a finite 3-vector")
+        if len(self.position_m) != 3 or not _within_bounds(self.position_m):
+            raise ScenarioError(f"node position must be a 3-vector within ±{MAX_COORDINATE_M:g} m")
         if not isinstance(self.task_count, int) or self.task_count < 1:
             raise ScenarioError("task_count must be an integer >= 1")
 
@@ -161,8 +171,10 @@ class Scenario:
     def __post_init__(self):
         object.__setattr__(self, "station_m", tuple(float(v) for v in self.station_m))
         object.__setattr__(self, "nodes", tuple(self.nodes))
-        if len(self.station_m) != 3 or not all(math.isfinite(v) for v in self.station_m):
-            raise ScenarioError("station position must be a finite 3-vector")
+        if len(self.station_m) != 3 or not _within_bounds(self.station_m):
+            raise ScenarioError(
+                f"station position must be a 3-vector within ±{MAX_COORDINATE_M:g} m"
+            )
         if not self.nodes:
             raise ScenarioError("scenario needs at least one delivery node")
         _require_finite(self, ("flight_speed_mps", "delivery_speed_tps", "slot_seconds"))

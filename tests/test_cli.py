@@ -128,6 +128,18 @@ def test_scenario_file_roundtrip(tmp_path):
     assert rc == 0
 
 
+def _edited_scenario_file(tmp_path, path, value):
+    """The seed-3, M=3 scenario with ``value`` at ``path``, written as a file."""
+    data = scen.scenario_to_dict(scen.generate_scenario(3, 3))
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    scenario_file = tmp_path / "scenario.json"
+    scenario_file.write_text(json.dumps(data))
+    return scenario_file
+
+
 @pytest.mark.parametrize(
     "path, value",
     [
@@ -141,25 +153,38 @@ def test_scenario_file_roundtrip(tmp_path):
         (("speeds", "delivery_tps"), 1e-320),
         (("physics", "noise_power_dbm"), 10**400),
         (("slot_seconds",), 1e-9),
+        (("nodes", 0, "position_m", 1), 1.01e150),
+        (("station", 0), -1.01e150),
+        (("waveguide", "y_m"), 1.01e150),
     ],
     ids=["slot_seconds_inf", "rate_2000", "rate_nan", "speed_nan", "nodes_not_list",
          "task_count_fraction", "feed_at_far_end", "delivery_tps_subnormal",
-         "noise_dbm_400_digits", "slots_over_cap"],
+         "noise_dbm_400_digits", "slots_over_cap", "node_beyond_1e150",
+         "station_beyond_1e150", "waveguide_beyond_1e150"],
 )
 def test_malformed_scenario_file_exit_code(tmp_path, capsys, path, value):
-    data = scen.scenario_to_dict(scen.generate_scenario(3, 3))
-    target = data
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
-    scenario_file = tmp_path / "scenario.json"
-    scenario_file.write_text(json.dumps(data))
+    scenario_file = _edited_scenario_file(tmp_path, path, value)
     rc = cli.main(
         ["simulate", "--scenario", str(scenario_file), "--strategy", "nearest_neighbor:full",
          "--out", str(tmp_path / "sim")]
     )
     assert rc == cli.EXIT_CONFIG
     assert "invalid configuration" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("activator", ["full", "bnb", "mimo"])
+@pytest.mark.parametrize(
+    "path", [("nodes", 0, "position_m", 1), ("station", 2), ("waveguide", "y_m")]
+)
+def test_coordinates_at_the_bound_run_without_float_warnings(tmp_path, path, activator):
+    # the largest accepted magnitude keeps every squared distance finite
+    scenario_file = _edited_scenario_file(tmp_path, path, -scen.MAX_COORDINATE_M)
+    rc = cli.main(
+        ["simulate", "--scenario", str(scenario_file), "--strategy",
+         f"nearest_neighbor:{activator}", "--out", str(tmp_path / "sim")]
+    )
+    assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG)
 
 
 @pytest.mark.parametrize(
@@ -236,6 +261,7 @@ def _simulate(data, tmp_path):
     return rc, err.getvalue()
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(
     data=st.data(),

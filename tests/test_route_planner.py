@@ -305,6 +305,53 @@ def test_batched_refill_matches_successive_permutations(m, count):
     assert batched.bit_generator.state == successive.bit_generator.state
 
 
+@pytest.mark.parametrize("odd_start", [False, True])
+@pytest.mark.parametrize(
+    "ranges",
+    [
+        # 2**31 + 1 rejects about half its words, 3 * 2**30 a quarter
+        [1, 30, 2**31 + 1, 3 * 2**30] * 25,
+        [1] * 5,
+        [2, 1, 10, 1, 1, 30],
+        np.tile([8, 30, 30], (48, 1)),  # a generation's OX draws at the default spec
+        [],
+    ],
+)
+def test_bounded_draws_match_successive_integers(ranges, odd_start):
+    batched, successive = np.random.default_rng(17), np.random.default_rng(17)
+    if odd_start:  # leave each generator holding a buffered 32-bit half
+        for g in (batched, successive):
+            g.integers(0, 2**32, size=3, dtype=np.uint32)
+    ranges = np.asarray(ranges, dtype=np.int64)
+    got = rp._bounded_draws(batched, ranges)
+    want = [successive.integers(r) for r in ranges.ravel().tolist()]
+    assert got.shape == ranges.shape
+    assert got.ravel().tolist() == want
+    assert batched.bit_generator.state == successive.bit_generator.state
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=30),
+    rows=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_crossover_rows_match_reference_row_by_row(m, rows, seed):
+    rng = np.random.default_rng(seed)
+    p1 = rng.permuted(np.tile(np.arange(m), (rows, 1)), axis=1)
+    p2 = rng.permuted(np.tile(np.arange(m), (rows, 1)), axis=1)
+    lo, hi = np.sort(rng.integers(0, m, size=(rows, 2)), axis=1).T
+    children = rp._crossover_rows(p1, p2, lo, hi)
+    for i in range(rows):
+        expected = ordered_crossover_reference(p1[i], p2[i], (lo[i], hi[i]))
+        assert children[i].tolist() == expected.tolist()
+    mutants = rp._invert_rows(p1, lo, hi)
+    for i in range(rows):
+        expected = p1[i].copy()
+        expected[lo[i] : hi[i] + 1] = expected[lo[i] : hi[i] + 1][::-1]
+        assert mutants[i].tolist() == expected.tolist()
+
+
 # Default-spec plans at seed 7, as floats' reprs. They pin the outer layer's
 # random stream and arithmetic across changes (the GA's draws, crossover,
 # refill and DP windows), which a comparison of two runs of one tree cannot.
@@ -333,3 +380,83 @@ def test_default_plan_is_unchanged(planner, m):
     assert tour.order == order
     assert tuple(repr(float(t)) for t in got_trace) == trace
     assert repr(float(tour.total_distance_m)) == length
+
+
+# Edge configurations off the default spec, as reprs recorded before the GA
+# was batched: populations 2 and 10 (one elite, so parent 1 takes no random
+# word), crossover 0 and 1, mutation 1, and M = 1, 2, 3. Each entry is the
+# returned orders, the per-generation best costs and the generator's next
+# `random()`, which pins its state after the call.
+# Key: (M, population, crossover_prob, mutation_prob, generations).
+GOLDEN_GA = {
+    (1, 2, 0.6, 0.05, 4): (
+        ((0,),),
+        ("160.29670746754283",) * 4,
+        "0.24252156006490633",
+    ),
+    (2, 2, 1.0, 1.0, 6): (((0, 1),), ("266.1371399474681",) * 6, "0.403888535038356"),
+    (3, 2, 1.0, 1.0, 6): (((1, 0, 2),), ("283.7465239738062",) * 6, "0.37470324310059366"),
+    (2, 10, 1.0, 1.0, 6): (((0, 1),), ("266.1371399474681",) * 6, "0.7146582539486183"),
+    (3, 10, 0.0, 1.0, 6): (((1, 0, 2),), ("283.7465239738062",) * 6, "0.3194921449920476"),
+    (3, 10, 1.0, 0.05, 6): (((2, 0, 1),), ("283.7465239738062",) * 6, "0.7048022383818885"),
+    (10, 10, 1.0, 1.0, 8): (
+        ((1, 6, 5, 8, 7, 4, 0, 3, 2, 9),),
+        ("498.6250595001132", "498.4800086757998", "421.98340915720485", "474.3897838913656",
+         "464.86891619782523", "373.77491850326885", "373.77491850326885",
+         "373.77491850326885"),
+        "0.19398704172800996",
+    ),
+    (12, 40, 1.0, 1.0, 6): (
+        ((10, 4, 7, 11, 0, 3, 2, 9, 5, 1, 6, 8), (10, 0, 3, 11, 7, 2, 4, 9, 5, 1, 6, 8),
+         (10, 0, 3, 11, 7, 2, 4, 9, 5, 1, 6, 8), (8, 5, 1, 6, 4, 7, 11, 3, 0, 10, 2, 9)),
+        ("461.96565481186457", "443.79974325306404", "435.95380040959463", "438.7781179982363",
+         "407.1327534133863", "404.62447876693136"),
+        "0.14023676883366687",
+    ),
+    (12, 30, 0.0, 0.0, 4): (
+        ((0, 3, 4, 2, 10, 7, 11, 9, 5, 6, 1, 8), (8, 6, 1, 9, 4, 5, 10, 2, 0, 7, 3, 11),
+         (5, 6, 3, 11, 7, 0, 10, 2, 8, 1, 9, 4)),
+        ("359.7076785637036", "359.7076785637036", "414.4123969682728", "414.4123969682728"),
+        "0.06661917730584255",
+    ),
+}
+
+# As GOLDEN_GA, for hao_plan: the tour's order, the trace and the next draw.
+# Key: (M, population, crossover_prob, mutation_prob, generations, max_iterations).
+GOLDEN_HAO = {
+    (1, 2, 1.0, 1.0, 3, 2): ((0,), ("160.29670746754283",) * 2, "0.994365591718783"),
+    (3, 10, 1.0, 1.0, 6, 3): ((1, 0, 2), ("283.7465239738062",) * 3, "0.05334691417533943"),
+    (10, 10, 1.0, 1.0, 8, 4): (
+        (6, 8, 1, 5, 7, 4, 3, 0, 2, 9),
+        ("370.29102207751924",) + ("346.28066324992346",) * 3,
+        "0.9383167951948636",
+    ),
+}
+
+
+def _edge_config(m, population, pc, pm, generations):
+    cfg = rp.GaConfig(
+        population_size=population, crossover_prob=pc, mutation_prob=pm, generations=generations
+    )
+    return _dist(7, m), cfg, np.random.default_rng(100 + m * population)
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_GA))
+def test_edge_ga_runs_are_unchanged(key):
+    orders, trace, next_draw = GOLDEN_GA[key]
+    dist, cfg, rng = _edge_config(*key)
+    got_trace = []
+    tours = rp.ga_explore(dist, cfg, rng, best_trace=got_trace)
+    assert tuple(t.order for t in tours) == orders
+    assert tuple(repr(t) for t in got_trace) == trace
+    assert repr(rng.random()) == next_draw
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_HAO))
+def test_edge_hao_runs_are_unchanged(key):
+    order, trace, next_draw = GOLDEN_HAO[key]
+    dist, cfg, rng = _edge_config(*key[:5])
+    result = rp.hao_plan(dist, cfg, rp.HaoConfig(max_iterations=key[5]), rng)
+    assert result.tour.order == order
+    assert tuple(repr(float(t)) for t in result.best_distance_trace) == trace
+    assert repr(rng.random()) == next_draw
