@@ -157,25 +157,6 @@ def _random_orders(rng: np.random.Generator, m: int, count: int) -> np.ndarray:
     return rng.permuted(np.tile(np.arange(m), (count, 1)), axis=1)
 
 
-def _bounded_draws(rng: np.random.Generator, ranges: np.ndarray) -> np.ndarray:
-    """``rng.integers(r)`` for each r of ``ranges`` (1 <= r < 2**32), row-major:
-    the same values and generator state, from one call for the raw words.
-    numpy maps a 32-bit word w to (w*r) >> 32 (Lemire's method), rejecting it
-    for the next word when the low half of w*r is below (2**32 - r) % r; a
-    range of 1 takes no word."""
-    live = ranges[ranges > 1].astype(np.uint64)
-    threshold = (2**32 - live) % live
-    words = rng.integers(0, 2**32, size=live.size, dtype=np.uint32).astype(np.uint64)
-    i = 0
-    while (rejected := np.flatnonzero((words[i:] * live[i:]) & 0xFFFFFFFF < threshold[i:])).size:
-        # drop the first rejected word: every later draw moves one word on
-        i += rejected[0]
-        words[i:] = np.append(words[i + 1 :], rng.integers(0, 2**32, dtype=np.uint32))
-    out = np.zeros(ranges.shape, dtype=np.int64)
-    out[ranges > 1] = (words * live) >> 32
-    return out
-
-
 def _initial_population(
     dist: np.ndarray,
     cfg: GaConfig,
@@ -195,12 +176,15 @@ def _initial_population(
         start = None if i == 0 else (i - 1) % m
         rows.append(np.asarray(_greedy(dist, start), dtype=int))
     rows = rows[:n]
-    return np.vstack([*rows, _random_orders(rng, m, n - len(rows))])
+    if len(rows) < n:
+        rows.append(_random_orders(rng, m, n - len(rows)))
+    return np.vstack(rows)
 
 
 def _top_indices(values: np.ndarray, count: int) -> np.ndarray:
     """Indices of the `count` largest values, ties broken by lower index."""
-    return np.argsort(-values, kind="stable")[:count]
+    order = np.lexsort((np.arange(values.size), -values))
+    return order[:count]
 
 
 def ga_explore(
@@ -238,14 +222,15 @@ def ga_explore(
         n_cross = round(cfg.crossover_prob * keep)
         if n_cross and m >= 2:
             partners = rng.choice(keep, size=min(n_cross, keep), replace=False)
-            # per child: its elite parent, then both segment ends
-            draws = _bounded_draws(rng, np.tile([elite_count, m, m], (partners.size, 1)))
+            # one row per child: its elite parent, then both segment ends,
+            # drawn in row-major order as by one rng.integers call each
+            draws = rng.integers(np.tile([elite_count, m, m], (partners.size, 1)))
             lo, hi = np.sort(draws[:, 1:], axis=1).T
             parts.append(_crossover_rows(elites[draws[:, 0]], pool[partners], lo, hi))
         n_mut = round(cfg.mutation_prob * keep)
         if n_mut and m >= 2:
             chosen = rng.choice(keep, size=min(n_mut, keep), replace=False)
-            lo, hi = np.sort(_bounded_draws(rng, np.full((chosen.size, 2), m)), axis=1).T
+            lo, hi = np.sort(rng.integers(0, m, size=(chosen.size, 2)), axis=1).T
             parts.append(_invert_rows(pool[chosen], lo, hi))
 
         # a row's cost is independent of its batch: only new rows are costed

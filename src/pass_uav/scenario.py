@@ -184,6 +184,21 @@ class Scenario:
             raise ScenarioError("delivery_speed_tps must be positive")
         if self.slot_seconds <= 0:
             raise ScenarioError("slot_seconds must be positive")
+        # Every UAV position lies on a segment between the station and nodes, so the
+        # diagonal of the box around them, the feed and the couplers bounds
+        # every channel distance and guided path d. The phase 2*pi*d/lambda
+        # over it, with a factor 2 to spare for rounding, must stay finite.
+        wg = self.waveguide
+        points = np.vstack([
+            self.station_m, self.node_positions(), wg.pa_positions(), (wg.feed_x_m, wg.y_m, wg.z_m)
+        ])
+        diagonal = math.hypot(*np.ptp(points, axis=0))
+        shortest = min(self.physics.wavelength_m, self.physics.guided_wavelength_m)
+        if not 4.0 * math.pi * diagonal < shortest * sys.float_info.max:
+            raise ScenarioError(
+                "carrier_frequency_hz and refraction_index are too high for the scenario's"
+                " extent: the phase 2*pi*d/lambda would overflow"
+            )
 
     @property
     def node_count(self) -> int:

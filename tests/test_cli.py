@@ -128,13 +128,14 @@ def test_scenario_file_roundtrip(tmp_path):
     assert rc == 0
 
 
-def _edited_scenario_file(tmp_path, path, value):
-    """The seed-3, M=3 scenario with ``value`` at ``path``, written as a file."""
+def _edited_scenario_file(tmp_path, *edits):
+    """The seed-3, M=3 scenario with each (path, value) edit made, written as a file."""
     data = scen.scenario_to_dict(scen.generate_scenario(3, 3))
-    target = data
-    for key in path[:-1]:
-        target = target[key]
-    target[path[-1]] = value
+    for path, value in edits:
+        target = data
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
     scenario_file = tmp_path / "scenario.json"
     scenario_file.write_text(json.dumps(data))
     return scenario_file
@@ -156,14 +157,15 @@ def _edited_scenario_file(tmp_path, path, value):
         (("nodes", 0, "position_m", 1), 1.01e150),
         (("station", 0), -1.01e150),
         (("waveguide", "y_m"), 1.01e150),
+        (("physics", "refraction_index"), 1e308),
     ],
     ids=["slot_seconds_inf", "rate_2000", "rate_nan", "speed_nan", "nodes_not_list",
          "task_count_fraction", "feed_at_far_end", "delivery_tps_subnormal",
          "noise_dbm_400_digits", "slots_over_cap", "node_beyond_1e150",
-         "station_beyond_1e150", "waveguide_beyond_1e150"],
+         "station_beyond_1e150", "waveguide_beyond_1e150", "guided_phase_overflow"],
 )
 def test_malformed_scenario_file_exit_code(tmp_path, capsys, path, value):
-    scenario_file = _edited_scenario_file(tmp_path, path, value)
+    scenario_file = _edited_scenario_file(tmp_path, (path, value))
     rc = cli.main(
         ["simulate", "--scenario", str(scenario_file), "--strategy", "nearest_neighbor:full",
          "--out", str(tmp_path / "sim")]
@@ -173,18 +175,44 @@ def test_malformed_scenario_file_exit_code(tmp_path, capsys, path, value):
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("activator", ["full", "bnb", "mimo"])
 @pytest.mark.parametrize(
-    "path", [("nodes", 0, "position_m", 1), ("station", 2), ("waveguide", "y_m")]
+    "path, activator",
+    [
+        (("waveguide", "y_m"), "full"),
+        (("waveguide", "y_m"), "bnb"),
+        (("waveguide", "y_m"), "mimo"),
+        # these two exit through the slot cap before any activator runs
+        (("nodes", 0, "position_m", 1), "full"),
+        (("station", 2), "full"),
+    ],
 )
 def test_coordinates_at_the_bound_run_without_float_warnings(tmp_path, path, activator):
     # the largest accepted magnitude keeps every squared distance finite
-    scenario_file = _edited_scenario_file(tmp_path, path, -scen.MAX_COORDINATE_M)
+    scenario_file = _edited_scenario_file(tmp_path, (path, -scen.MAX_COORDINATE_M))
     rc = cli.main(
         ["simulate", "--scenario", str(scenario_file), "--strategy",
          f"nearest_neighbor:{activator}", "--out", str(tmp_path / "sim")]
     )
     assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "frequency_hz, code",
+    # a waveguide 1e150 m out allows carriers up to about 3e165 Hz
+    [(1e160, cli.EXIT_INFEASIBLE), (1e170, cli.EXIT_CONFIG)],
+)
+def test_channel_phase_overflow_is_a_configuration_error(tmp_path, frequency_hz, code):
+    scenario_file = _edited_scenario_file(
+        tmp_path,
+        (("waveguide", "y_m"), scen.MAX_COORDINATE_M),
+        (("physics", "carrier_frequency_hz"), frequency_hz),
+    )
+    rc = cli.main(
+        ["simulate", "--scenario", str(scenario_file), "--strategy", "nearest_neighbor:full",
+         "--out", str(tmp_path / "sim")]
+    )
+    assert rc == code
 
 
 @pytest.mark.parametrize(

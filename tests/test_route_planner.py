@@ -318,12 +318,14 @@ def test_batched_refill_matches_successive_permutations(m, count):
     ],
 )
 def test_bounded_draws_match_successive_integers(ranges, odd_start):
+    # ga_explore draws a generation's OX values with one rng.integers call on
+    # an array of bounds: it must give the values and state of one call per draw
     batched, successive = np.random.default_rng(17), np.random.default_rng(17)
     if odd_start:  # leave each generator holding a buffered 32-bit half
         for g in (batched, successive):
             g.integers(0, 2**32, size=3, dtype=np.uint32)
     ranges = np.asarray(ranges, dtype=np.int64)
-    got = rp._bounded_draws(batched, ranges)
+    got = batched.integers(ranges)
     want = [successive.integers(r) for r in ranges.ravel().tolist()]
     assert got.shape == ranges.shape
     assert got.ravel().tolist() == want
