@@ -256,37 +256,26 @@ def bnb_optimize(problem: ActivationProblem, trace: Optional[BnbTrace] = None) -
 # ---------------------------------------------------------------------------
 
 
-def _bits_from(indices, k: int) -> np.ndarray:
+def _bits(members, k: int) -> np.ndarray:
     bits = np.zeros(k, dtype=np.int8)
-    for i in indices:
+    for i in members:
         bits[i] = 1
     return bits
 
 
-class _BestTracker:
-    def __init__(self, problem: ActivationProblem):
-        self.problem = problem
-        self.best_obj = -math.inf
-        self.best_set: tuple[int, ...] = ()
-
-    def evaluate(self, members) -> float:
-        obj = self.problem.objective(_bits_from(members, self.problem.size))
-        if obj > self.best_obj:
-            self.best_obj = obj
-            self.best_set = tuple(sorted(members))
-        return obj
-
-
 def islr_optimize(problem: ActivationProblem, high_count: Optional[int] = None) -> np.ndarray:
-    """Gain-ranked incremental search refined by downsizing/upsizing swaps.
+    """Gain-ranked incremental search refined by downsizing/upsizing walks.
 
     Antennas sorted by free-space gain split into a high-efficiency prefix of
-    ``high_count`` entries and a low-efficiency remainder. The best gain-ranked
-    prefix seeds an alternating refinement: drop the lowest marginal-gain
-    members while power keeps falling, then append remaining high-gain antennas
-    while power keeps falling. The cheapest set evaluated anywhere along the
-    way is returned; the all-on baseline is always among the candidates, so
-    the heuristic never loses to plain full activation.
+    ``high_count`` entries and a low-efficiency pool. The search runs in three
+    phases: it scores the all-on baseline; it scans the gain-ranked prefixes
+    of length 1..``high_count`` and keeps the best; then it alternates a
+    downsizing walk (drop the lowest marginal-gain members one by one) and an
+    upsizing walk (append pool antennas in gain order) until neither raises
+    the objective, for at most 4K rounds. Each walk stops at the first set
+    that does not raise it. The best set scored anywhere is returned, the
+    first one on ties; the all-on baseline is among them, so the heuristic
+    never loses to plain full activation.
     """
     k = problem.size
     if high_count is None:
@@ -294,60 +283,48 @@ def islr_optimize(problem: ActivationProblem, high_count: Optional[int] = None) 
     if not 1 <= high_count <= k:
         raise ValueError("high_count must lie in [1, K]")
     mags = np.abs(problem.phasors)
-    ranked = np.argsort(-mags, kind="stable")
-    tracker = _BestTracker(problem)
-    tracker.evaluate(range(k))
+    ranked = [int(i) for i in np.argsort(-mags, kind="stable")]
+    best_obj, best_bits = -math.inf, _bits((), k)
 
-    current: set[int] = set()
-    current_obj = -math.inf
-    for k_prefix in range(1, high_count + 1):
-        members = set(int(i) for i in ranked[:k_prefix])
-        obj = tracker.evaluate(members)
-        if obj > current_obj:
-            current, current_obj = members, obj
-    pool = [int(i) for i in ranked[high_count:]]
+    def score(members) -> float:
+        nonlocal best_obj, best_bits
+        bits = _bits(members, k)
+        obj = problem.objective(bits)
+        if obj > best_obj:
+            best_obj, best_bits = obj, bits
+        return obj
+
+    def climb(members, obj, candidates):
+        """Score the candidate sets in order while the objective strictly
+        rises; return the last rising set (``members`` if none rose), its
+        objective and how many sets rose."""
+        rose = 0
+        for candidate in candidates:
+            new = score(candidate)
+            if new <= obj:
+                break
+            members, obj, rose = candidate, new, rose + 1
+        return members, obj, rose
+
+    score(range(k))
+    current, obj = [], -math.inf
+    for n in range(1, high_count + 1):
+        new = score(ranked[:n])
+        if new > obj:
+            current, obj = ranked[:n], new
+    pool = ranked[high_count:]
 
     for _ in range(4 * k):
-        changed = False
-
+        dropped = 0
         if len(current) >= 2:
             # Marginal gain of each member under the current arrangement:
             # its own amplitude contribution, phases ignored.
-            beta = propagation.radiation_ratios(_bits_from(current, k), problem.delta)
-            removal = sorted(current, key=lambda p: (beta[p] * mags[p], p))
-            prev_obj = current_obj
-            working = set(current)
-            adopted = None
-            for p in removal[:-1]:
-                working = working - {p}
-                obj = tracker.evaluate(working)
-                if obj <= prev_obj:
-                    break
-                prev_obj = obj
-                adopted = (set(working), obj)
-            if adopted is not None:
-                current, current_obj = adopted
-                changed = True
-
-        if pool:
-            prev_obj = current_obj
-            working = set(current)
-            adopted = None
-            consumed = 0
-            for idx, p in enumerate(pool):
-                working = working | {p}
-                obj = tracker.evaluate(working)
-                if obj <= prev_obj:
-                    break
-                prev_obj = obj
-                adopted = (set(working), obj)
-                consumed = idx + 1
-            if adopted is not None:
-                current, current_obj = adopted
-                pool = pool[consumed:]
-                changed = True
-
-        if not changed:
+            beta = propagation.radiation_ratios(_bits(current, k), problem.delta)
+            order = sorted(current, key=lambda p: (beta[p] * mags[p], p))
+            current, obj, dropped = climb(current, obj, (order[n:] for n in range(1, len(order))))
+        current, obj, added = climb(current, obj, (current + pool[:n] for n in range(1, len(pool) + 1)))
+        pool = pool[added:]
+        if not (dropped or added):
             break
 
-    return _bits_from(tracker.best_set, k)
+    return best_bits

@@ -22,6 +22,9 @@ SPACE_X = (0.0, 100.0)
 SPACE_Y = (0.0, 100.0)
 SPACE_Z = (2.5, 7.5)
 TASK_CHOICES = (1, 2, 3, 4, 5)
+# UAV speeds of generated scenarios; a scenario file may set any.
+FLIGHT_SPEED_MPS = 5.0
+DELIVERY_SPEED_TPS = 0.5
 # Largest coordinate magnitude a scenario may hold, in meters: the squared
 # distance between any two points, at most 3 * (2e150)**2, stays a finite float.
 MAX_COORDINATE_M = 1e150
@@ -90,6 +93,18 @@ class PhysicsConfig:
         object.__setattr__(self, "noise_power_w", dbm_to_watts(self.noise_power_dbm))
         if self.noise_power_w <= 0:
             raise ScenarioError("noise power must be positive")
+        # The link budget divides by the power floor (2^R - 1) * sigma^2 and
+        # scales every channel by lambda^2 / (16 pi^2); both must be usable floats.
+        floor = (2.0**self.rate_threshold_bps_hz - 1.0) * self.noise_power_w
+        if not (floor > 0 and math.isfinite(1.0 / floor)):
+            raise ScenarioError(
+                "rate_threshold_bps_hz is too small for the noise power:"
+                " the power floor (2^R - 1) * noise rounds to zero"
+            )
+        if not math.isfinite(self.wavelength_m * self.wavelength_m / (16.0 * math.pi**2)):
+            raise ScenarioError(
+                "carrier_frequency_hz is too low: lambda^2 / (16 pi^2) overflows a float"
+            )
 
 
 @dataclass(frozen=True)
@@ -227,8 +242,6 @@ def generate_scenario(
     node_count: int,
     pa_count: int = 10,
     physics_overrides: dict | None = None,
-    flight_speed_mps: float = 5.0,
-    delivery_speed_tps: float = 0.5,
     slot_seconds: float = 1.0,
 ) -> Scenario:
     """Build a reproducible random instance on the reference geometry.
@@ -270,8 +283,8 @@ def generate_scenario(
         waveguide=waveguide,
         station_m=(0.0, 0.0, 0.0),
         nodes=nodes,
-        flight_speed_mps=flight_speed_mps,
-        delivery_speed_tps=delivery_speed_tps,
+        flight_speed_mps=FLIGHT_SPEED_MPS,
+        delivery_speed_tps=DELIVERY_SPEED_TPS,
         slot_seconds=slot_seconds,
         rng_seed=seed,
     )

@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from pass_uav import activation as act
 from pass_uav import link_budget as lb
 from pass_uav import propagation as prop
+from pass_uav import route_planner as rp
 from pass_uav import scenario as scen
 
 
@@ -219,6 +221,43 @@ def test_islr_deterministic(reference):
     a = act.islr_optimize(pr)
     b = act.islr_optimize(pr)
     assert np.array_equal(a, b)
+
+
+def _islr_golden_problems():
+    """Every flying slot of the nearest-neighbor plans at seeds 1-3 and K in
+    {1, 3, 10, 16}, then seeded unit-modulus phasor problems with repeated
+    and zero phasors. A rho of 1e-322 or 1e-323 leaves the objective a few
+    subnormal bits, so many candidate sets tie exactly and the tie rules show."""
+    for seed in (1, 2, 3):
+        for k in (1, 3, 10, 16):
+            s = scen.generate_scenario(seed, 10, pa_count=k)
+            plan = lb.discretize(s, rp.nearest_neighbor(s))
+            for i in plan.flying_indices():
+                yield act.ActivationProblem.from_scenario(s, plan.slots[i].position_m)
+    rng = np.random.default_rng(14)
+    for _ in range(600):
+        k = int(rng.integers(1, 13))
+        distinct = np.exp(2j * np.pi * rng.random(k))
+        phasors = distinct[rng.integers(0, rng.integers(1, k + 1), size=k)]
+        phasors[rng.random(k) < 0.2] = 0
+        yield act.ActivationProblem(
+            channel=np.conj(phasors), response=np.ones(k), delta=float(rng.uniform(0.05, 0.95)),
+            rho=float(rng.choice([1.0, 1e-322, 1e-323])),
+        )
+
+
+def test_islr_bitmaps_are_unchanged():
+    # sha256 of ISLR's int8 bitmaps over the problems above, each solved with
+    # high_count None, 1 and K; it pins the sets scored, their order and the
+    # tie rules across changes to the heuristic.
+    digest = hashlib.sha256()
+    calls = 0
+    for pr in _islr_golden_problems():
+        for high_count in (None, 1, pr.size):
+            digest.update(act.islr_optimize(pr, high_count).tobytes() + b";")
+            calls += 1
+    assert calls == 4524
+    assert digest.hexdigest() == "0da7840d3b76a1c948bf9caab301e8f7aa5ce215595989d65a0cfbfc5095074a"
 
 
 def test_full_activation_vector():

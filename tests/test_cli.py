@@ -141,37 +141,54 @@ def _edited_scenario_file(tmp_path, *edits):
     return scenario_file
 
 
+# Each field edit runs under nearest_neighbor:full. The vanishing scales run
+# under every kind of activator: a rate floor whose power floor
+# (2^R - 1) sigma^2 rounds to zero, and carriers for which lambda^2 / (16 pi^2)
+# is not a finite float.
+_MALFORMED_FIELDS = [
+    ("slot_seconds_inf", ("slot_seconds",), float("inf")),
+    ("rate_2000", ("physics", "rate_threshold_bps_hz"), 2000),
+    ("rate_nan", ("physics", "rate_threshold_bps_hz"), float("nan")),
+    ("speed_nan", ("speeds", "flight_mps"), float("nan")),
+    ("nodes_not_list", ("nodes",), 5),
+    ("task_count_fraction", ("nodes", 0, "task_count"), 2.7),
+    ("feed_at_far_end", ("waveguide", "feed_x_m"), 100.0),
+    ("delivery_tps_subnormal", ("speeds", "delivery_tps"), 1e-320),
+    ("noise_dbm_400_digits", ("physics", "noise_power_dbm"), 10**400),
+    ("slots_over_cap", ("slot_seconds",), 1e-9),
+    ("node_beyond_1e150", ("nodes", 0, "position_m", 1), 1.01e150),
+    ("station_beyond_1e150", ("station", 0), -1.01e150),
+    ("waveguide_beyond_1e150", ("waveguide", "y_m"), 1.01e150),
+    ("guided_phase_overflow", ("physics", "refraction_index"), 1e308),
+]
+_VANISHING_SCALES = [
+    ("rate_1e-17", ("physics", "rate_threshold_bps_hz"), 1e-17),
+    ("carrier_1e-150", ("physics", "carrier_frequency_hz"), 1e-150),
+    ("carrier_1e-301", ("physics", "carrier_frequency_hz"), 1e-301),
+]
+
+
 @pytest.mark.parametrize(
-    "path, value",
-    [
-        (("slot_seconds",), float("inf")),
-        (("physics", "rate_threshold_bps_hz"), 2000),
-        (("physics", "rate_threshold_bps_hz"), float("nan")),
-        (("speeds", "flight_mps"), float("nan")),
-        (("nodes",), 5),
-        (("nodes", 0, "task_count"), 2.7),
-        (("waveguide", "feed_x_m"), 100.0),
-        (("speeds", "delivery_tps"), 1e-320),
-        (("physics", "noise_power_dbm"), 10**400),
-        (("slot_seconds",), 1e-9),
-        (("nodes", 0, "position_m", 1), 1.01e150),
-        (("station", 0), -1.01e150),
-        (("waveguide", "y_m"), 1.01e150),
-        (("physics", "refraction_index"), 1e308),
+    "path, value, activator",
+    [pytest.param(path, value, "full", id=name) for name, path, value in _MALFORMED_FIELDS]
+    + [
+        pytest.param(path, value, activator, id=f"{name}_{activator}")
+        for name, path, value in _VANISHING_SCALES
+        for activator in ("full", "bnb", "mimo")
     ],
-    ids=["slot_seconds_inf", "rate_2000", "rate_nan", "speed_nan", "nodes_not_list",
-         "task_count_fraction", "feed_at_far_end", "delivery_tps_subnormal",
-         "noise_dbm_400_digits", "slots_over_cap", "node_beyond_1e150",
-         "station_beyond_1e150", "waveguide_beyond_1e150", "guided_phase_overflow"],
 )
-def test_malformed_scenario_file_exit_code(tmp_path, capsys, path, value):
+def test_malformed_scenario_file_exit_code(tmp_path, capsys, path, value, activator):
     scenario_file = _edited_scenario_file(tmp_path, (path, value))
     rc = cli.main(
-        ["simulate", "--scenario", str(scenario_file), "--strategy", "nearest_neighbor:full",
-         "--out", str(tmp_path / "sim")]
+        ["simulate", "--scenario", str(scenario_file), "--strategy",
+         f"nearest_neighbor:{activator}", "--out", str(tmp_path / "sim")]
     )
     assert rc == cli.EXIT_CONFIG
-    assert "invalid configuration" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "invalid configuration" in err
+    assert "Traceback" not in err
+    if path[0] == "physics":  # rejected by name, not by a failure further on
+        assert path[-1] in err
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -271,9 +288,9 @@ def _leaves(tree, path=()):
         yield from _leaves(child, (*path, key))
 
 
-def _simulate(data, tmp_path):
-    """Load ``data`` as the CLI does, then run one nearest_neighbor:full cycle
-    on it; returns the exit code and stderr."""
+def _simulate(data, tmp_path, activator="full"):
+    """Load ``data`` as the CLI does, then run one nearest_neighbor cycle on it
+    under ``activator``; returns the exit code and stderr."""
     try:
         scen.scenario_from_dict(data)
     except scen.ScenarioError:
@@ -283,8 +300,8 @@ def _simulate(data, tmp_path):
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         rc = cli.main(
-            ["simulate", "--scenario", str(scenario_file), "--strategy", "nearest_neighbor:full",
-             "--out", str(tmp_path / "sim")]
+            ["simulate", "--scenario", str(scenario_file), "--strategy",
+             f"nearest_neighbor:{activator}", "--out", str(tmp_path / "sim")]
         )
     return rc, err.getvalue()
 
@@ -308,7 +325,8 @@ def test_fuzzed_scenario_files_end_in_documented_exit_codes(tmp_path_factory, da
             del parent[path[-1]]
         else:
             parent[path[-1]] = copy.deepcopy(data.draw(_ODD_VALUES))
-    rc, _ = _simulate(scenario, tmp_path_factory.mktemp("fuzz"))
+    activator = data.draw(st.sampled_from(("full", "bnb", "mimo")))
+    rc, _ = _simulate(scenario, tmp_path_factory.mktemp("fuzz"), activator)
     assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_INFEASIBLE)
 
 

@@ -106,3 +106,21 @@ def test_thousand_seeds_all_valid():
 def test_dbm_conversion_roundtrip():
     for dbm in (-90.0, -85.5, -120.0, 0.0):
         assert scen.watts_to_dbm(scen.dbm_to_watts(dbm)) == pytest.approx(dbm, abs=1e-9)
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"rate_threshold_bps_hz": 1e-16},  # 2^R - 1 rounds to zero
+        # a subnormal power floor, whose reciprocal overflows
+        {"rate_threshold_bps_hz": 1e-10, "noise_power_dbm": -3000.0},
+    ],
+)
+def test_vanishing_power_floor_rejected(fields):
+    with pytest.raises(scen.ScenarioError, match="rate_threshold_bps_hz"):
+        scen.PhysicsConfig(**fields)
+
+
+def test_small_but_usable_link_budget_scales_accepted():
+    assert scen.PhysicsConfig(rate_threshold_bps_hz=1e-15).rate_threshold_bps_hz == 1e-15
+    assert math.isfinite(scen.PhysicsConfig(carrier_frequency_hz=1e-140).wavelength_m ** 2)
