@@ -151,10 +151,6 @@ class EnergyReport:
     total_energy_j: float
     per_slot_activation: tuple
 
-    @property
-    def slot_count(self) -> int:
-        return len(self.per_slot_power_w)
-
 
 def cycle_total(powers: Sequence[float], slot_seconds: float) -> float:
     """Cycle energy sum(P_l * tau); InfeasibleSlotError when it is not a finite float."""

@@ -90,9 +90,13 @@ class PhysicsConfig:
             )
         object.__setattr__(self, "wavelength_m", SPEED_OF_LIGHT / self.carrier_frequency_hz)
         object.__setattr__(self, "guided_wavelength_m", self.wavelength_m / self.refraction_index)
-        object.__setattr__(self, "noise_power_w", dbm_to_watts(self.noise_power_dbm))
-        if self.noise_power_w <= 0:
-            raise ScenarioError("noise power must be positive")
+        try:
+            noise_power_w = dbm_to_watts(self.noise_power_dbm)
+        except OverflowError:  # above about 3112.5 dBm
+            noise_power_w = math.inf
+        if not 0 < noise_power_w < math.inf:
+            raise ScenarioError("noise_power_dbm must give a positive, finite noise power in watts")
+        object.__setattr__(self, "noise_power_w", noise_power_w)
         # The link budget divides by the power floor (2^R - 1) * sigma^2 and
         # scales every channel by lambda^2 / (16 pi^2); both must be usable floats.
         floor = (2.0**self.rate_threshold_bps_hz - 1.0) * self.noise_power_w

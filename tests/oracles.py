@@ -1,6 +1,19 @@
 """Independent reference implementations used by unit and acceptance tests."""
 
+import hashlib
+
 import numpy as np
+
+
+def bitmap_digest(bitmaps):
+    """sha256 hex digest over each int8 bitmap's bytes followed by b";", and
+    the number of bitmaps; golden tests pin a solver's answers with it."""
+    digest = hashlib.sha256()
+    count = 0
+    for bits in bitmaps:
+        digest.update(bits.tobytes() + b";")
+        count += 1
+    return digest.hexdigest(), count
 
 
 def walk_slot_count(scenario, order):

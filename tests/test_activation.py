@@ -1,10 +1,10 @@
 import cmath
-import hashlib
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from oracles import bitmap_digest
 
 from pass_uav import activation as act
 from pass_uav import link_budget as lb
@@ -148,6 +148,14 @@ def test_bnb_equals_exhaustive_bit_for_bit(phasors, delta):
         ([0, 1e-4, -1e-4], [0, 0, 1]),  # opposite singles tie; the smaller bitmap wins
         # every |z|^2 would underflow to a tie at zero without the phasor scaling
         (np.array([1, 1j, -1 - 1j, 0.01]) * 1e-170, [0, 0, 1, 0]),
+        # twin pairs of near-unit phasors whose |z|^2 differ by about 2e-16
+        # relative: the order of the float sums decides, and both solvers
+        # take the pair that the Horner sum rounds ahead
+        (
+            [-0.5871085843732176 - 0.8095081902953648j] * 2
+            + [0.06740733775696808 + 0.9977255388214326j] * 2,
+            [0, 0, 1, 1],
+        ),
     ],
 )
 def test_bnb_ties_resolve_like_exhaustive(phasors, expected):
@@ -223,17 +231,23 @@ def test_islr_deterministic(reference):
     assert np.array_equal(a, b)
 
 
-def _islr_golden_problems():
-    """Every flying slot of the nearest-neighbor plans at seeds 1-3 and K in
-    {1, 3, 10, 16}, then seeded unit-modulus phasor problems with repeated
-    and zero phasors. A rho of 1e-322 or 1e-323 leaves the objective a few
-    subnormal bits, so many candidate sets tie exactly and the tie rules show."""
+def _flying_slot_problems(pa_counts):
+    """Every flying slot of the nearest-neighbor plans at seeds 1-3, for each
+    coupler count in `pa_counts`."""
     for seed in (1, 2, 3):
-        for k in (1, 3, 10, 16):
+        for k in pa_counts:
             s = scen.generate_scenario(seed, 10, pa_count=k)
             plan = lb.discretize(s, rp.nearest_neighbor(s))
             for i in plan.flying_indices():
                 yield act.ActivationProblem.from_scenario(s, plan.slots[i].position_m)
+
+
+def _islr_golden_problems():
+    """The flying slots at K in {1, 3, 10, 16}, then seeded unit-modulus phasor
+    problems with repeated and zero phasors. A rho of 1e-322 or 1e-323 leaves
+    the objective a few subnormal bits, so many candidate sets tie exactly and
+    the tie rules show."""
+    yield from _flying_slot_problems((1, 3, 10, 16))
     rng = np.random.default_rng(14)
     for _ in range(600):
         k = int(rng.integers(1, 13))
@@ -250,14 +264,26 @@ def test_islr_bitmaps_are_unchanged():
     # sha256 of ISLR's int8 bitmaps over the problems above, each solved with
     # high_count None, 1 and K; it pins the sets scored, their order and the
     # tie rules across changes to the heuristic.
-    digest = hashlib.sha256()
-    calls = 0
-    for pr in _islr_golden_problems():
-        for high_count in (None, 1, pr.size):
-            digest.update(act.islr_optimize(pr, high_count).tobytes() + b";")
-            calls += 1
+    digest, calls = bitmap_digest(
+        act.islr_optimize(pr, high_count)
+        for pr in _islr_golden_problems()
+        for high_count in (None, 1, pr.size)
+    )
     assert calls == 4524
-    assert digest.hexdigest() == "0da7840d3b76a1c948bf9caab301e8f7aa5ce215595989d65a0cfbfc5095074a"
+    assert digest == "0da7840d3b76a1c948bf9caab301e8f7aa5ce215595989d65a0cfbfc5095074a"
+
+
+def test_exact_bitmaps_on_flying_slots_are_unchanged():
+    # sha256 of the exact activator's int8 bitmaps over every flying slot at
+    # K in {1, 3, 10, 16, 32}; it pins the exact answers, ties included, across
+    # changes to the solver. The tie-prone random problems are left out: on
+    # them, two activations whose |z|^2 lie within rounding of each other
+    # rank by the order of the float sums.
+    digest, calls = bitmap_digest(
+        act.bnb_optimize(pr) for pr in _flying_slot_problems((1, 3, 10, 16, 32))
+    )
+    assert calls == 1135
+    assert digest == "3a32e96e72d4a0167124b236fd270b3cc1eaccd14379d7738035656c148a7467"
 
 
 def test_full_activation_vector():

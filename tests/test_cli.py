@@ -141,10 +141,10 @@ def _edited_scenario_file(tmp_path, *edits):
     return scenario_file
 
 
-# Each field edit runs under nearest_neighbor:full. The vanishing scales run
+# Each field edit runs under nearest_neighbor:full. The unusable scales run
 # under every kind of activator: a rate floor whose power floor
-# (2^R - 1) sigma^2 rounds to zero, and carriers for which lambda^2 / (16 pi^2)
-# is not a finite float.
+# (2^R - 1) sigma^2 rounds to zero, carriers for which lambda^2 / (16 pi^2)
+# is not a finite float, and a noise power too large for a float in watts.
 _MALFORMED_FIELDS = [
     ("slot_seconds_inf", ("slot_seconds",), float("inf")),
     ("rate_2000", ("physics", "rate_threshold_bps_hz"), 2000),
@@ -161,10 +161,11 @@ _MALFORMED_FIELDS = [
     ("waveguide_beyond_1e150", ("waveguide", "y_m"), 1.01e150),
     ("guided_phase_overflow", ("physics", "refraction_index"), 1e308),
 ]
-_VANISHING_SCALES = [
+_UNUSABLE_SCALES = [
     ("rate_1e-17", ("physics", "rate_threshold_bps_hz"), 1e-17),
     ("carrier_1e-150", ("physics", "carrier_frequency_hz"), 1e-150),
     ("carrier_1e-301", ("physics", "carrier_frequency_hz"), 1e-301),
+    ("noise_dbm_5000", ("physics", "noise_power_dbm"), 5000.0),
 ]
 
 
@@ -173,7 +174,7 @@ _VANISHING_SCALES = [
     [pytest.param(path, value, "full", id=name) for name, path, value in _MALFORMED_FIELDS]
     + [
         pytest.param(path, value, activator, id=f"{name}_{activator}")
-        for name, path, value in _VANISHING_SCALES
+        for name, path, value in _UNUSABLE_SCALES
         for activator in ("full", "bnb", "mimo")
     ],
 )
