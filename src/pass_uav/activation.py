@@ -20,9 +20,22 @@ hull (Rockafellar, Convex Analysis, sec. 32); an affine image of a hull is the
 hull of the image, and the vertices of hull(A u B) are among vert(A) u vert(B)
 (de Berg et al., Computational Geometry, ch. 1). Carrying one hull's vertices
 from coupler to coupler is therefore exact, and it needs no relaxation,
-tolerance or LP. On the flying slots measured (K 10-48) the hull held at most
-2m + 1 vertices after m couplers, so a slot costs about K^2 point steps, each
-hull step a sort, instead of 2^K.
+tolerance or LP.
+
+With the empty activation (the origin) kept in the hull P, each step is a
+homothety: t + cP, t = delta phi_j, is P shrunk by c about s = t / (1 - c). If
+s lies in P the hull does not change. Otherwise the new hull is the chain of
+P that s cannot see, then the image of the chain it sees, joined by the two
+tangents from s; the tangent points stay and exactly two vertices are added.
+So the hull holds at most 2m + 1 vertices after m couplers, the origin
+included, and a slot costs O(K^2) point steps instead of 2^K. `exact_rows`
+takes this step for a block of slots at once, one array step per coupler. A
+row whose floats are too close to a degenerate case to trust the step (a zero
+phasor, a visibility or convexity determinant within 1e-12 relative of zero,
+a seen chain in more than one run, a best |z|^2 of zero, K above 62, a delta
+so small that c rounds to 1) is solved by `bnb_optimize`, which carries the
+hull without the origin through a monotone chain with exact orientation signs
+and so takes any input.
 
 `bnb_optimize` keeps its name from the branch and bound it replaced, so that
 the `bnb` activator label, and every output that carries it, stays as it was.
@@ -50,6 +63,11 @@ EXHAUSTIVE_MAX_K = 20
 # its products may have underflowed, gets its sign recomputed exactly.
 _ORIENT_REL_ERR = 1e-15
 _ORIENT_TINY = 1e-290
+# `exact_rows` sends a row to `bnb_optimize` when one of its float
+# determinants lies within this fraction of the sum of its products' sizes.
+_BATCH_REL_TOL = 1e-12
+# `exact_rows` keys an activation by an int64 bitmask.
+_BATCH_MAX_K = 62
 
 
 @dataclass(frozen=True)
@@ -68,13 +86,7 @@ class ActivationProblem:
 
     @classmethod
     def from_scenario(cls, scenario: Scenario, uav_position_m) -> "ActivationProblem":
-        phys = scenario.physics
-        return cls(
-            channel=propagation.channel(scenario, uav_position_m),
-            response=propagation.waveguide_response(scenario),
-            delta=phys.radiation_constant,
-            rho=1.0 / ((2.0**phys.rate_threshold_bps_hz - 1.0) * phys.noise_power_w),
-        )
+        return cls(propagation.channel(scenario, uav_position_m), *link_constants(scenario))
 
     @property
     def size(self) -> int:
@@ -82,14 +94,31 @@ class ActivationProblem:
 
     def gain(self, activation) -> float:
         """Combined gain |sum_k conj(h_k) * beta_k * g_k|^2 under the sequential ratios."""
-        beta = propagation.radiation_ratios(activation, self.delta)
-        # Keep this product order: the costed per-slot powers, and with them
-        # the simulate outputs, depend on its rounding in the last bits.
-        amp = np.sum(np.conj(self.channel) * beta * self.response)
-        return float(np.abs(amp) ** 2)
+        return combined_gains(self.channel, self.response, activation, self.delta)[0]
 
     def objective(self, activation) -> float:
         return self.rho * self.gain(activation)
+
+
+def link_constants(scenario: Scenario) -> tuple[np.ndarray, float, float]:
+    """The in-waveguide response, delta and rho that every slot of a scenario shares."""
+    phys = scenario.physics
+    rho = 1.0 / ((2.0**phys.rate_threshold_bps_hz - 1.0) * phys.noise_power_w)
+    return propagation.waveguide_response(scenario), phys.radiation_constant, rho
+
+
+def combined_gains(channel, response, activations, delta: float) -> list[float]:
+    """|sum_k conj(h_k) * beta_k * g_k|^2 for each activation of a stack whose
+    last axis runs over couplers, each row under its own channel row.
+
+    Keep the product order: the costed powers, and with them the simulate
+    outputs, depend on its rounding in the last bits. For the same reason
+    each magnitude is the scalar `np.abs`, which can differ from the array
+    one in the last bit; the row sums do not depend on the stacking.
+    """
+    beta = propagation.radiation_ratios(activations, delta)
+    amps = np.sum(np.conj(channel) * beta * response, axis=-1)
+    return [float(np.abs(amp) ** 2) for amp in np.atleast_1d(amps)]
 
 
 def full_activation(k: int) -> np.ndarray:
@@ -101,14 +130,13 @@ def _all_bitmaps(k: int) -> np.ndarray:
     return ((ints[:, None] >> np.arange(k)) & 1).astype(np.int8)
 
 
-def _scaled_phasors(problem: ActivationProblem) -> np.ndarray:
-    """The phasors over 2^e, e the binary exponent of the largest |phi| (none if
-    all are zero), so that the solvers' |z|^2 cannot underflow. A power-of-two
-    scale is exact, so it changes no ranking."""
-    phasors = np.asarray(problem.phasors, dtype=np.complex128)
-    peak = float(np.max(np.abs(phasors), initial=0.0))
-    exponent = math.frexp(peak)[1]  # 0 for a zero peak
-    return np.ldexp(phasors.view(np.float64), -exponent).view(np.complex128)
+def _scaled_phasors(phasors: np.ndarray) -> np.ndarray:
+    """Each row of phasors (last axis) over 2^e, e the binary exponent of its
+    largest |phi| (none if all are zero), so that the solvers' |z|^2 cannot
+    underflow. A power-of-two scale is exact, so it changes no ranking."""
+    phasors = np.asarray(phasors, dtype=np.complex128)
+    exponent = np.frexp(np.max(np.abs(phasors), axis=-1, initial=0.0))[1]  # 0 for a zero peak
+    return np.ldexp(phasors.view(np.float64), -exponent[..., None]).view(np.complex128)
 
 
 def _amplitudes(bits, problem: ActivationProblem) -> np.ndarray:
@@ -120,7 +148,7 @@ def _amplitudes(bits, problem: ActivationProblem) -> np.ndarray:
     phasors give exactly tied amplitudes in both.
     """
     c = math.sqrt(1.0 - problem.delta * problem.delta)
-    radiated = problem.delta * _scaled_phasors(problem)
+    radiated = problem.delta * _scaled_phasors(problem.phasors)
     amp = np.zeros(bits.shape[:-1], dtype=complex)
     for k in reversed(range(problem.size)):
         amp = np.where(bits[..., k], radiated[k] + c * amp, amp)
@@ -231,7 +259,7 @@ def bnb_optimize(problem: ActivationProblem, trace: Optional[BnbTrace] = None) -
     """
     k = problem.size
     c = math.sqrt(1.0 - problem.delta * problem.delta)
-    radiated = (problem.delta * _scaled_phasors(problem)).tolist()
+    radiated = (problem.delta * _scaled_phasors(problem.phasors)).tolist()
     # hull vertices (x, y, count, key) of the amplitudes of the activations
     # that use only the couplers swept so far; bit K-1-j of key is coupler j,
     # so keys order as bitmaps do. The empty activation seeds each step's
@@ -247,6 +275,100 @@ def bnb_optimize(problem: ActivationProblem, trace: Optional[BnbTrace] = None) -
         hull = _hull(points + hull, trace)
     key = min((-(x * x + y * y), n, key) for x, y, n, key in hull)[2]
     return np.array([(key >> (k - 1 - j)) & 1 for j in range(k)], dtype=np.int8)
+
+
+def _hull_rows(phasors: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The homothety sweep of the module docstring over an (S, K) phasor
+    block: (S, K) int8 bitmaps and an (S,) mask of the rows whose bitmap
+    cannot be trusted and must be solved by `bnb_optimize`.
+
+    Row i carries the first n[i] columns of its x, y, count and key arrays as
+    the counter-clockwise vertices of its hull, the origin included. Images
+    are made with the scalar DP's float operations, so an activation has the
+    same float amplitude in both, and the winner is picked by the same rule.
+    """
+    rows_n, k = phasors.shape
+    c = math.sqrt(1.0 - delta * delta)
+    if k > _BATCH_MAX_K or c == 1.0:  # keys past int64; no centre s at a delta below ~1e-8
+        return np.zeros((rows_n, k), dtype=np.int8), np.ones(rows_n, dtype=bool)
+    radiated = delta * _scaled_phasors(phasors)
+    cols = np.arange(2 * k + 2)
+    tx, ty = radiated.real, radiated.imag
+    flagged = np.any(radiated == 0, axis=1)
+    x, y = np.zeros((rows_n, cols.size)), np.zeros((rows_n, cols.size))
+    count = np.zeros((rows_n, cols.size), dtype=np.int64)
+    key = np.zeros((rows_n, cols.size), dtype=np.int64)
+    # the far coupler alone: the origin and its image
+    x[:, 1], y[:, 1] = tx[:, k - 1] + c * 0.0, ty[:, k - 1] + c * 0.0
+    count[:, 1], key[:, 1] = 1, 1
+    n = np.full(rows_n, 2)
+
+    def near_zero(left, right):
+        return np.abs(left - right) <= _BATCH_REL_TOL * (np.abs(left) + np.abs(right))
+
+    def ring(sizes):
+        """Each column's previous and next vertex on hulls of these sizes."""
+        last = sizes[:, None] - 1
+        return np.where(cols == 0, last, cols - 1), np.where(cols < last, cols + 1, 0)
+
+    offsets = (np.arange(rows_n) * cols.size)[:, None]
+
+    def at(values, index):
+        """values[i, index[i, j]]: np.take_along_axis on axis 1, as one flat take."""
+        return np.take(values, offsets + index)
+
+    for j in reversed(range(k - 1)):
+        live = cols < n[:, None]
+        prv, nxt = ring(n)
+        # edge i runs from vertex i to the next; s sees it when it lies to its right
+        sx, sy = tx[:, j, None] / (1.0 - c), ty[:, j, None] / (1.0 - c)
+        left = (at(x, nxt) - x) * (sy - y)
+        right = (at(y, nxt) - y) * (sx - x)
+        flagged |= np.any(live & near_zero(left, right), axis=1)
+        seen = live & (left < right)
+        starts = seen & ~at(seen, prv)
+        m = seen.sum(axis=1)
+        flagged |= starts.sum(axis=1) != (m > 0)  # the seen edges form one run, or none
+        grow = (m > 0) & ~flagged
+        # new hull: old vertices b..a (the unseen chain), then images of a..b
+        a = np.argmax(starts, axis=1)
+        split = np.where(grow, n - m + 1, n)[:, None]
+        src = np.where(cols < split, (a + m)[:, None] + cols, a[:, None] + cols - split)
+        src = np.where(grow[:, None], src % n[:, None], np.minimum(cols, n[:, None] - 1))
+        image = grow[:, None] & (cols >= split)
+        x, y = at(x, src), at(y, src)
+        x = np.where(image, tx[:, j, None] + c * x, x)
+        y = np.where(image, ty[:, j, None] + c * y, y)
+        count = at(count, src) + image
+        key = at(key, src) | np.where(image, 1 << (k - 1 - j), 0)
+        n = np.where(grow, n + 2, n)
+        # every corner of a grown hull must turn left, by a clear margin
+        live = cols < n[:, None]
+        prv, nxt = ring(n)
+        left = (x - at(x, prv)) * (at(y, nxt) - y)
+        right = (y - at(y, prv)) * (at(x, nxt) - x)
+        bent = live & ((left <= right) | near_zero(left, right))
+        flagged |= grow & np.any(bent, axis=1)
+
+    power = np.where((cols < n[:, None]) & (count > 0), x * x + y * y, -1.0)
+    best = power.max(axis=1)
+    flagged |= ~(best > 0)
+    tied = power == best[:, None]
+    tied &= count == np.where(tied, count, k + 1).min(axis=1)[:, None]
+    win = np.where(tied, key, np.iinfo(np.int64).max).min(axis=1)
+    bits = (win[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    return bits.astype(np.int8), flagged
+
+
+def exact_rows(channel, response, delta: float, rho: float) -> np.ndarray:
+    """Exact activations of an (S, K) channel block, one row per slot, as
+    (S, K) int8 bitmaps: row i is `bnb_optimize`'s answer for the slot with
+    channel row i and the shared response, delta and rho."""
+    channel = np.asarray(channel, dtype=np.complex128)
+    bits, flagged = _hull_rows(np.conj(channel) * response, delta)
+    for i in np.flatnonzero(flagged):
+        bits[i] = bnb_optimize(ActivationProblem(channel[i], response, delta, rho))
+    return bits
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +395,7 @@ def islr_optimize(problem: ActivationProblem, high_count: Optional[int] = None) 
     the objective, for at most 4K rounds. Each walk stops at the first set
     that does not raise it. The best set scored anywhere is returned, the
     first one on ties; the all-on baseline is among them, so the heuristic
-    never loses to plain full activation.
+    never loses to plain full activation. A set met again is not re-scored.
     """
     k = problem.size
     if high_count is None:
@@ -283,14 +405,17 @@ def islr_optimize(problem: ActivationProblem, high_count: Optional[int] = None) 
     mags = np.abs(problem.phasors)
     ranked = [int(i) for i in np.argsort(-mags, kind="stable")]
     best_obj, best_bits = -math.inf, _bits((), k)
+    scores: dict[frozenset, float] = {}
 
     def score(members) -> float:
         nonlocal best_obj, best_bits
-        bits = _bits(members, k)
-        obj = problem.objective(bits)
-        if obj > best_obj:
-            best_obj, best_bits = obj, bits
-        return obj
+        key = frozenset(members)
+        if key not in scores:
+            bits = _bits(members, k)
+            scores[key] = problem.objective(bits)
+            if scores[key] > best_obj:
+                best_obj, best_bits = scores[key], bits
+        return scores[key]
 
     def climb(members, obj, candidates):
         """Score the candidate sets in order while the objective strictly

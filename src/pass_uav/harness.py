@@ -72,20 +72,23 @@ class DloOutput:
         return self.reports[0].total_energy_j
 
 
-def mimo_required_power(scenario: scen.Scenario, mimo: MimoConfig, uav_position_m) -> float:
-    """Transmit power of the array baseline under maximum-ratio transmission.
+def mimo_required_power(scenario: scen.Scenario, mimo: MimoConfig, uav_position_m):
+    """Transmit power of the array baseline under maximum-ratio transmission:
+    a float at one position, a list for each row of an (S, 3) block.
 
     Per-element free-space channels combine coherently, so the received gain
     is sum_n |h_n|^2.
     """
     phys = scenario.physics
     elements = mimo.element_positions(phys.wavelength_m)
-    d = np.linalg.norm(elements - np.asarray(uav_position_m, dtype=float)[None, :], axis=1)
+    d = np.linalg.norm(elements - np.asarray(uav_position_m, dtype=float)[..., None, :], axis=-1)
     if np.any(d < propagation.MIN_DISTANCE_M):
         raise propagation.DegenerateGeometryError("UAV on top of an array element")
     eta = phys.wavelength_m**2 / (16.0 * math.pi**2)
-    gain = float(np.sum(eta / (d * d)))
-    return lb.required_power(gain, phys.rate_threshold_bps_hz, phys.noise_power_w)
+    gains = np.sum(eta / (d * d), axis=-1)
+    powers = [lb.required_power(float(g), phys.rate_threshold_bps_hz, phys.noise_power_w)
+              for g in np.atleast_1d(gains)]
+    return powers if gains.ndim else powers[0]
 
 
 def plan_tour(
@@ -128,29 +131,29 @@ def solve_cycle(
     activator: str,
     spec: StrategySpec,
 ) -> lb.EnergyReport:
-    """Per-slot optimization over one flight cycle.
+    """Per-slot optimization over one flight cycle, on one channel block.
 
-    Flying slots are optimized at their own position; hovering slots reuse the
-    previous slot's activation unless ``spec.reoptimize_hover`` is set. The
-    array baseline has no activation vector and is costed per position.
+    Flying slots are optimized at their own position, by the exact activator
+    all at once; hovering slots reuse the previous slot's activation unless
+    ``spec.reoptimize_hover`` is set. The array baseline has no activation
+    vector and is costed per position.
     """
     if activator == "mimo":
-        powers = tuple(
-            mimo_required_power(scenario, spec.mimo, slot.position_m) for slot in plan.slots
-        )
-        return lb.EnergyReport(
-            strategy_name="mimo",
-            per_slot_power_w=powers,
-            total_energy_j=lb.cycle_total(powers, plan.slot_seconds),
-            per_slot_activation=(),
-        )
-    activations: list[np.ndarray] = []
-    for i, slot in enumerate(plan.slots):
-        if slot.mode == lb.FLYING or spec.reoptimize_hover or i == 0:
-            problem = act.ActivationProblem.from_scenario(scenario, slot.position_m)
-            activations.append(solve_slot(problem, activator, spec))
-        else:
-            activations.append(activations[-1])
+        powers = tuple(mimo_required_power(scenario, spec.mimo, plan.positions()))
+        return lb.EnergyReport(strategy_name="mimo", per_slot_power_w=powers,
+                               total_energy_j=lb.cycle_total(powers, plan.slot_seconds),
+                               per_slot_activation=())
+    solved = np.array([s.mode == lb.FLYING or spec.reoptimize_hover for s in plan.slots], bool)
+    solved[:1] = True
+    channels = propagation.channel(scenario, plan.positions()[solved])
+    response, delta, rho = act.link_constants(scenario)
+    if activator == "bnb":
+        rows = act.exact_rows(channels, response, delta, rho)
+    else:
+        rows = [solve_slot(act.ActivationProblem(h, response, delta, rho), activator, spec)
+                for h in channels]
+    # each slot takes the activation of the last solved slot at or before it
+    activations = [rows[r] for r in np.cumsum(solved) - 1]
     return lb.cycle_energy(scenario, plan, activations, strategy_name=activator)
 
 
@@ -176,12 +179,9 @@ def distance_energy_trace(
     """(slot_index, min distance to any coupler, optimized power) for flying
     slots of the first report; hover slots hold the previous activation and
     are excluded."""
-    powers = output.reports[0].per_slot_power_w
-    return [
-        (i, float(propagation.pa_distances(scenario, output.slot_plan.slots[i].position_m).min()),
-         powers[i])
-        for i in output.slot_plan.flying_indices()
-    ]
+    powers, flying = output.reports[0].per_slot_power_w, output.slot_plan.flying_indices()
+    nearest = propagation.pa_distances(scenario, output.slot_plan.positions()[flying]).min(axis=-1)
+    return [(i, float(d), powers[i]) for i, d in zip(flying, nearest)]
 
 
 @dataclass(frozen=True)

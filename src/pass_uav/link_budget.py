@@ -11,7 +11,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import propagation
-from .activation import ActivationProblem
+from .activation import combined_gains, link_constants
 from .route_planner import Tour
 from .scenario import Scenario, ScenarioError
 
@@ -78,6 +78,10 @@ class SlotPlan:
 
     def flying_indices(self) -> list[int]:
         return [i for i, s in enumerate(self.slots) if s.mode == FLYING]
+
+    def positions(self) -> np.ndarray:
+        """The (S, 3) block of slot positions."""
+        return np.array([s.position_m for s in self.slots], dtype=float).reshape(-1, 3)
 
 
 def _slot_count(amount: float, per_slot: float) -> float:
@@ -169,11 +173,11 @@ def cycle_energy(
     activation_per_slot: Sequence,
     strategy_name: str = "custom",
 ) -> EnergyReport:
-    """Per-slot minimum power and the cycle total sum(P_l * tau).
+    """Per-slot minimum power, costed on one channel block, and the cycle total.
 
-    Raises InfeasibleSlotError when a slot needs infinite power, and says
-    whether its activation has zero gain or the power overflows a float; such
-    a slot is a configuration error, not an infinite-energy result.
+    Raises InfeasibleSlotError for the first slot that needs infinite power,
+    and says whether its activation has zero gain or the power overflows a
+    float; such a slot is a configuration error, not an infinite-energy result.
     """
     if len(activation_per_slot) != plan.total_slots:
         raise ValueError(
@@ -181,21 +185,17 @@ def cycle_energy(
             % (len(activation_per_slot), plan.total_slots)
         )
     phys = scenario.physics
-    powers = []
-    for idx, (slot, act) in enumerate(zip(plan.slots, activation_per_slot)):
-        gain = ActivationProblem.from_scenario(scenario, slot.position_m).gain(act)
-        p = required_power(gain, phys.rate_threshold_bps_hz, phys.noise_power_w)
-        if not math.isfinite(p):
-            raise infeasible(f"slot {idx}", gain)
-        powers.append(p)
-    total = cycle_total(powers, plan.slot_seconds)
     activations = tuple(propagation.as_activation(a) for a in activation_per_slot)
-    return EnergyReport(
-        strategy_name=strategy_name,
-        per_slot_power_w=tuple(powers),
-        total_energy_j=total,
-        per_slot_activation=activations,
-    )
+    channels = propagation.channel(scenario, plan.positions())
+    response, delta, _ = link_constants(scenario)
+    gains = combined_gains(channels, response, np.reshape(activations, channels.shape), delta)
+    powers = [required_power(g, phys.rate_threshold_bps_hz, phys.noise_power_w) for g in gains]
+    for idx, p in enumerate(powers):
+        if not math.isfinite(p):
+            raise infeasible(f"slot {idx}", gains[idx])
+    return EnergyReport(strategy_name=strategy_name, per_slot_power_w=tuple(powers),
+                        total_energy_j=cycle_total(powers, plan.slot_seconds),
+                        per_slot_activation=activations)
 
 
 def _fmt(x) -> str:

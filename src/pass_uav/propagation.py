@@ -20,21 +20,26 @@ class DegenerateGeometryError(ValueError):
 
 
 def pa_distances(scenario: Scenario, uav_position_m) -> np.ndarray:
-    """Euclidean distance from the UAV to each coupler, shape (K,)."""
+    """Euclidean distance from the UAV to each coupler: shape (K,) for one
+    position, (..., K) for a (..., 3) stack of them."""
     pos = np.asarray(uav_position_m, dtype=float)
-    return np.linalg.norm(scenario.waveguide.pa_positions() - pos[None, :], axis=1)
+    return np.linalg.norm(scenario.waveguide.pa_positions() - pos[..., None, :], axis=-1)
 
 
 def channel(scenario: Scenario, uav_position_m) -> np.ndarray:
     """Per-antenna free-space gains sqrt(eta) * exp(-j*2*pi*d/lambda) / d.
 
     eta = lambda^2 / (16 pi^2), so a single entry has magnitude
-    (lambda / 4 pi) / d: amplitude halves when distance doubles.
+    (lambda / 4 pi) / d: amplitude halves when distance doubles. A (..., 3)
+    stack of positions gives a (..., K) stack of channels; the error for a
+    degenerate stack reports the first offending position's distance.
     """
     d = pa_distances(scenario, uav_position_m)
-    if np.any(d < MIN_DISTANCE_M):
+    close = d < MIN_DISTANCE_M
+    if np.any(close):
+        first = d[close.any(axis=-1)][0]
         raise DegenerateGeometryError(
-            "UAV within %g m of an antenna (min distance %.3g m)" % (MIN_DISTANCE_M, d.min())
+            "UAV within %g m of an antenna (min distance %.3g m)" % (MIN_DISTANCE_M, first.min())
         )
     lam = scenario.physics.wavelength_m
     amp = math.sqrt(lam * lam / (16.0 * math.pi**2))

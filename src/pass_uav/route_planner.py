@@ -151,6 +151,26 @@ def nearest_neighbor(scenario: Scenario, start_node: Optional[int] = None) -> To
     return make_tour(dist, _greedy(dist, start_node))
 
 
+# The greedy seed tours walked on the last matrix seen. `hao_plan` runs
+# `ga_explore` on one matrix every round, and a later round's greedy rows are
+# a prefix of the first round's, so each plan walks them once.
+_greedy_memo: dict = {}
+
+
+def _greedy_rows(dist: np.ndarray, count: int) -> list[np.ndarray]:
+    """The first ``count`` greedy seed tours: the plain walk, then walks that
+    force the first visit to node 0, 1, ... in turn (cycling past M-1)."""
+    m = dist.shape[0] - 1
+    key = (dist.shape, dist.tobytes())
+    rows = _greedy_memo.get(key, [])
+    if len(rows) < count:
+        rows = rows + [np.asarray(_greedy(dist, None if i == 0 else (i - 1) % m), dtype=int)
+                       for i in range(len(rows), count)]
+        _greedy_memo.clear()
+        _greedy_memo[key] = rows
+    return rows[:count]
+
+
 def _random_orders(rng: np.random.Generator, m: int, count: int) -> np.ndarray:
     """``count`` random permutations of 0..m-1: the rows, and the generator
     state after them, of ``count`` successive ``rng.permutation(m)`` calls."""
@@ -172,9 +192,7 @@ def _initial_population(
         n_greedy = round(0.9 * cfg.greedy_seed_fraction * n)
     else:
         n_greedy = round(cfg.greedy_seed_fraction * n)
-    for i in range(n_greedy):
-        start = None if i == 0 else (i - 1) % m
-        rows.append(np.asarray(_greedy(dist, start), dtype=int))
+    rows.extend(_greedy_rows(dist, n_greedy))
     rows = rows[:n]
     if len(rows) < n:
         rows.append(_random_orders(rng, m, n - len(rows)))

@@ -4,6 +4,8 @@ import hashlib
 
 import numpy as np
 
+from pass_uav.propagation import radiation_ratios
+
 
 def bitmap_digest(bitmaps):
     """sha256 hex digest over each int8 bitmap's bytes followed by b";", and
@@ -14,6 +16,15 @@ def bitmap_digest(bitmaps):
         digest.update(bits.tobytes() + b";")
         count += 1
     return digest.hexdigest(), count
+
+
+def scalar_gain(problem, bits):
+    """One slot's |sum_k conj(h_k) beta_k g_k|^2, summed on its own and taken
+    through the scalar np.abs, which can differ from the array np.abs in the
+    last bit."""
+    beta = radiation_ratios(bits, problem.delta)
+    amp = np.sum(np.conj(problem.channel) * beta * problem.response)
+    return float(np.abs(amp) ** 2)
 
 
 def walk_slot_count(scenario, order):

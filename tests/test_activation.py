@@ -123,9 +123,11 @@ def test_bnb_matches_exhaustive_on_k12():
 
 
 _MAGNITUDES = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1e3))
-_PHASORS = st.lists(
-    st.builds(cmath.rect, _MAGNITUDES, st.floats(min_value=-math.pi, max_value=math.pi)),
-    min_size=1, max_size=14,
+_PHASOR = st.builds(cmath.rect, _MAGNITUDES, st.floats(min_value=-math.pi, max_value=math.pi))
+_PHASORS = st.lists(_PHASOR, min_size=1, max_size=14)
+# blocks of up to eight problems that share K, as exact_rows takes them
+_PHASOR_BLOCKS = st.integers(min_value=1, max_value=12).flatmap(
+    lambda k: st.lists(st.lists(_PHASOR, min_size=k, max_size=k), min_size=1, max_size=8)
 )
 
 
@@ -137,6 +139,70 @@ def test_bnb_equals_exhaustive_bit_for_bit(phasors, delta):
         channel=np.conj(phasors), response=np.ones(phasors.size), delta=delta, rho=1.0
     )
     assert act.bnb_optimize(pr).tolist() == act.exhaustive_best(pr).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(block=_PHASOR_BLOCKS, delta=st.floats(min_value=1e-3, max_value=0.999))
+def test_exact_rows_equal_exhaustive_bit_for_bit(block, delta):
+    phasors = np.array(block, dtype=complex)
+    response = np.ones(phasors.shape[1])
+    got = act.exact_rows(np.conj(phasors), response, delta, 1.0)
+    for row, bits in zip(phasors, got):
+        pr = act.ActivationProblem(channel=np.conj(row), response=response, delta=delta, rho=1.0)
+        assert bits.tolist() == act.exhaustive_best(pr).tolist()
+
+
+_GENERIC_ROW = [0.3 + 0.4j, -0.7 + 0.1j, 0.2 - 0.9j, 0.5 + 0.5j]
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [0.3 + 0.4j, 0.3 + 0.4j, 0.2 - 0.9j, 0.5 + 0.5j],  # twin phasors
+        [0.3 + 0.4j, -0.7 + 0.1j, 0, 0.5 + 0.5j],  # a silent coupler
+        [0.3 + 0.4j, -0.7 + 0.1j, 0.2 - 0.9j, -0.2 + 0.9j],  # opposite phasors
+        [1e-4, 1e-4, 0],  # twins and a silent coupler
+        [0, 1e-4, -1e-4],  # opposite singles tie
+    ],
+)
+def test_degenerate_rows_take_the_fallback_and_match_exhaustive(row):
+    # each degenerate row sits in a block beside a generic row, which the
+    # array step solves; both answers must be the oracle's
+    k = len(row)
+    phasors = np.array([row, _GENERIC_ROW[:k]], dtype=complex)
+    delta = 0.3
+    _, flagged = act._hull_rows(phasors, delta)
+    assert flagged.tolist() == [True, False]
+    got = act.exact_rows(np.conj(phasors), np.ones(k), delta, 1.0)
+    for p, bits in zip(phasors, got):
+        pr = act.ActivationProblem(channel=np.conj(p), response=np.ones(k), delta=delta, rho=1.0)
+        assert bits.tolist() == act.exhaustive_best(pr).tolist()
+
+
+def test_exact_rows_break_mirror_ties_like_exhaustive():
+    # conjugate singles have exactly equal |z|^2 and the pair loses to them:
+    # a tie the array step decides by itself, to the smaller bitmap
+    p = cmath.rect(1.0, math.radians(80.0))
+    phasors = np.array([[p, p.conjugate()], [p.conjugate(), p]])
+    _, flagged = act._hull_rows(phasors, 0.3)
+    assert not flagged.any()
+    assert act.exact_rows(np.conj(phasors), np.ones(2), 0.3, 1.0).tolist() == [[0, 1], [0, 1]]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "pa_count, delta",
+    [(64, None), (10, 1e-9)],  # keys past int64; c == 1.0, which leaves no centre s
+)
+def test_exact_rows_fall_back_where_the_array_step_cannot_go(pa_count, delta):
+    overrides = {} if delta is None else {"radiation_constant": delta}
+    s = scen.generate_scenario(7, 1, pa_count=pa_count, physics_overrides=overrides)
+    positions = [(37.0, 22.0, 5.0), (61.0, 18.0, 6.0)]
+    response, delta, rho = act.link_constants(s)
+    assert act._hull_rows(np.conj(prop.channel(s, positions)) * response, delta)[1].all()
+    got = act.exact_rows(prop.channel(s, positions), response, delta, rho)
+    for pos, bits in zip(positions, got):
+        assert bits.tolist() == act.bnb_optimize(_problem(s, pos)).tolist()
 
 
 @pytest.mark.parametrize(
@@ -282,6 +348,29 @@ def test_exact_bitmaps_on_flying_slots_are_unchanged():
     digest, calls = bitmap_digest(
         act.bnb_optimize(pr) for pr in _flying_slot_problems((1, 3, 10, 16, 32))
     )
+    assert calls == 1135
+    assert digest == "3a32e96e72d4a0167124b236fd270b3cc1eaccd14379d7738035656c148a7467"
+
+
+def _flying_slot_blocks(pa_counts):
+    """The slots of `_flying_slot_problems`, in the same order, as one channel
+    block per plan with the plan's shared response, delta and rho."""
+    for seed in (1, 2, 3):
+        for k in pa_counts:
+            s = scen.generate_scenario(seed, 10, pa_count=k)
+            plan = lb.discretize(s, rp.nearest_neighbor(s))
+            yield prop.channel(s, plan.positions()[plan.flying_indices()]), *act.link_constants(s)
+
+
+def test_exact_rows_on_flying_slots_match_the_golden_digest_without_fallback():
+    # the array step must solve every golden slot by itself: a row that falls
+    # back to the scalar DP gets the right answer, but slowly
+    rows, fallbacks = [], 0
+    for channels, response, delta, rho in _flying_slot_blocks((1, 3, 10, 16, 32)):
+        fallbacks += int(act._hull_rows(np.conj(channels) * response, delta)[1].sum())
+        rows.extend(act.exact_rows(channels, response, delta, rho))
+    assert fallbacks == 0
+    digest, calls = bitmap_digest(rows)
     assert calls == 1135
     assert digest == "3a32e96e72d4a0167124b236fd270b3cc1eaccd14379d7738035656c148a7467"
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import scalar_gain
 from scipy.stats import spearmanr
 
 from pass_uav import activation as act
@@ -29,6 +30,33 @@ def test_mimo_colocated_limit():
     d = 5000.0
     expected = (2**5 - 1) * s.physics.noise_power_w / (10 * eta / d**2)
     assert p == pytest.approx(expected, rel=1e-3)
+
+
+def test_cycle_powers_equal_the_scalar_gain_path_bit_for_bit():
+    # the costing and the array baseline work on slot blocks; every power
+    # must still be the one the per-slot path gives, to the last bit. An
+    # array np.abs differs from the scalar one in the last bit on a few
+    # slots, one of them a full-activation slot at seed 3, K = 3.
+    spec = harness.StrategySpec()
+    for seed in (1, 2, 3):
+        for k in (3, 10, 16):
+            s = scen.generate_scenario(seed, 10, pa_count=k)
+            phys = s.physics
+            plan = lb.discretize(s, rp.nearest_neighbor(s))
+            for activator in ("bnb", "islr", "full", "mimo"):
+                report = harness.solve_cycle(s, plan, activator, spec)
+                for i, slot in enumerate(plan.slots):
+                    if activator == "mimo":
+                        expected = harness.mimo_required_power(s, spec.mimo, slot.position_m)
+                    else:
+                        bits = report.per_slot_activation[i]
+                        problem = act.ActivationProblem.from_scenario(s, slot.position_m)
+                        gain = problem.gain(bits)
+                        assert gain == scalar_gain(problem, bits), (seed, k, activator, i)
+                        expected = lb.required_power(
+                            gain, phys.rate_threshold_bps_hz, phys.noise_power_w
+                        )
+                    assert report.per_slot_power_w[i] == expected, (seed, k, activator, i)
 
 
 def test_mimo_element_doubling_halves_power():

@@ -172,6 +172,15 @@ def test_infeasible_slot_raises():
         lb.cycle_energy(s, plan, [zero] * plan.total_slots)
 
 
+def test_infeasible_slots_name_the_first_one():
+    s = scen.generate_scenario(4, 2)
+    plan = lb.discretize(s, rp.make_tour(rp.distance_matrix(s), [0, 1]))
+    acts = [np.ones(10, dtype=int)] * plan.total_slots
+    acts[3] = acts[5] = np.zeros(10, dtype=int)
+    with pytest.raises(lb.InfeasibleSlotError, match="slot 3 has zero gain"):
+        lb.cycle_energy(s, plan, acts)
+
+
 def test_realized_rate_meets_threshold():
     s = scen.generate_scenario(4, 2)
     plan = lb.discretize(s, rp.make_tour(rp.distance_matrix(s), [0, 1]))

@@ -66,6 +66,29 @@ def test_degenerate_geometry_raises(reference):
         prop.channel(reference, tuple(pa))
 
 
+def _positions_near_couplers(reference, offsets_m):
+    """Positions the given heights above couplers 0, 2, 4, ... in turn."""
+    pa = reference.waveguide.pa_positions()
+    return [pa[2 * i] + (0.0, 0.0, dz) for i, dz in enumerate(offsets_m)]
+
+
+def test_channel_block_matches_each_position(reference):
+    positions = np.array(_positions_near_couplers(reference, (3.0, 7.0, 11.0)))
+    block = prop.channel(reference, positions)
+    assert block.shape == (3, reference.waveguide.pa_count)
+    for pos, row in zip(positions, block):
+        assert row.tobytes() == prop.channel(reference, pos).tobytes()
+
+
+@pytest.mark.parametrize(
+    "offsets_m, reported", [((5.0, 2e-7, 0.0), "2e-07"), ((5.0, 0.0, 2e-7), "0 m")]
+)
+def test_degenerate_block_reports_the_first_offending_position(reference, offsets_m, reported):
+    positions = _positions_near_couplers(reference, offsets_m)
+    with pytest.raises(prop.DegenerateGeometryError, match=f"min distance {reported}"):
+        prop.channel(reference, positions)
+
+
 def test_waveguide_response_phases(reference):
     g = prop.waveguide_response(reference)
     assert np.allclose(np.abs(g), 1.0, atol=1e-12)

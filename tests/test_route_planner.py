@@ -249,6 +249,19 @@ def test_hao_single_iteration_reduces_to_ga_plus_refine():
     assert result.tour.total_distance_m == pytest.approx(expected, rel=1e-12)
 
 
+def test_hao_plan_walks_the_greedy_seeds_once(monkeypatch):
+    # every round seeds its population with the same greedy tours on the same
+    # matrix (the first round 10, later rounds the first 9): one walk each
+    starts = []
+    walk = rp._greedy
+    monkeypatch.setattr(rp, "_greedy_memo", {})
+    monkeypatch.setattr(rp, "_greedy", lambda dist, start: starts.append(start) or walk(dist, start))
+    ga = rp.GaConfig(population_size=200, generations=5)
+    result = rp.hao_plan(_dist(13, 12), ga, rp.HaoConfig(max_iterations=4), np.random.default_rng(2))
+    assert len(result.best_distance_trace) > 1
+    assert starts == [None, *range(9)]
+
+
 def test_hao_matches_held_karp_on_small_instances():
     hits = 0
     for seed in range(6):
