@@ -76,11 +76,13 @@ def distance_matrix(scenario: Scenario) -> np.ndarray:
 
 
 def _orders_distance(orders: np.ndarray, dist: np.ndarray) -> np.ndarray:
-    """Vectorized closed-loop costs for an (N, M) array of permutations."""
-    station = dist.shape[0] - 1
-    total = dist[station, orders[:, 0]] + dist[orders[:, -1], station]
+    """Vectorized closed-loop costs for an (N, M) array of permutations:
+    (station -> first + last -> station) + the row sum of the interior edges,
+    an interior edge a -> b read from ``dist.ravel()`` at a * (M + 1) + b."""
+    size = dist.shape[0]
+    total = dist[-1].take(orders[:, 0]) + dist[:, -1].take(orders[:, -1])
     if orders.shape[1] > 1:
-        total = total + dist[orders[:, :-1], orders[:, 1:]].sum(axis=1)
+        total += dist.ravel()[orders[:, :-1] * size + orders[:, 1:]].sum(axis=1)
     return total
 
 
@@ -92,15 +94,17 @@ def make_tour(dist: np.ndarray, order: Sequence[int]) -> Tour:
     return Tour(order=tuple(arr.tolist()), total_distance_m=_orders_distance(arr[None, :], dist)[0])
 
 
-def _crossover_rows(p1: np.ndarray, p2: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Row-wise OX of (k, M) parents, row i keeping p1's [lo[i], hi[i]]. Each
-    row's free columns take, in order, p2's genes outside p1's segment."""
-    cols = np.arange(p1.shape[1])
-    seg = (cols >= lo[:, None]) & (cols <= hi[:, None])
-    taken = np.zeros(p1.shape, dtype=bool)
-    taken[np.nonzero(seg)[0], p1[seg]] = True
+def _crossover_rows(p1: np.ndarray, p2: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise OX of (k, M) parents, row i keeping p1's columns a[i]..b[i]
+    (either end first). Each row's free columns take, in order, p2's genes
+    outside p1's segment, gene g of row r marked taken at r * M + g."""
+    k, m = p1.shape
+    cols, off = np.arange(m), np.arange(0, k * m, m)[:, None]
+    seg = (cols >= np.minimum(a, b)[:, None]) & (cols <= np.maximum(a, b)[:, None])
+    taken = np.zeros(k * m, dtype=bool)
+    taken[(off + p1)[seg]] = True
     child = p1.copy()
-    child[~seg] = p2[~np.take_along_axis(taken, p2, 1)]
+    child[~seg] = p2[~taken[off + p2]]
     return child
 
 
@@ -114,12 +118,12 @@ def ordered_crossover(parent1, parent2, segment: tuple[int, int]) -> np.ndarray:
     return _crossover_rows(p1[None], p2[None], np.array([lo]), np.array([hi]))[0]
 
 
-def _invert_rows(parents: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Reverse each row's inclusive slice [lo[i]..hi[i]] of a (k, M) array."""
-    cols = np.arange(parents.shape[1])
-    lo, hi = lo[:, None], hi[:, None]
+def _invert_rows(parents: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Reverse each row's inclusive slice between a[i] and b[i] of a (k, M) array."""
+    k, m = parents.shape
+    cols, lo, hi = np.arange(m), np.minimum(a, b)[:, None], np.maximum(a, b)[:, None]
     src = np.where((cols >= lo) & (cols <= hi), lo + hi - cols, cols)
-    return np.take_along_axis(parents, src, 1)
+    return parents.ravel()[np.arange(0, k * m, m)[:, None] + src]
 
 
 def inversion_mutation(parent, i: int, j: int) -> np.ndarray:
@@ -201,8 +205,26 @@ def _initial_population(
 
 def _top_indices(values: np.ndarray, count: int) -> np.ndarray:
     """Indices of the `count` largest values, ties broken by lower index."""
-    order = np.lexsort((np.arange(values.size), -values))
-    return order[:count]
+    return (-values).argsort(kind="stable")[:count]
+
+
+def _roulette(rng: np.random.Generator, p: np.ndarray, size: int) -> np.ndarray:
+    """The indices, and the generator state after them, of ``rng.choice(p.size,
+    size, replace=False, p=p)``, by NumPy's loop for that call: draw size - k
+    uniforms, zero the weights of the k indices found (no draw lands on their
+    flat cdf steps), search the normalized cumsum (side="right"), and append
+    the new indices at their first occurrence."""
+    p, found = p.copy(), []
+    while len(found) < size:
+        draws = rng.random(size - len(found))
+        cdf = p.cumsum()
+        if not 0.0 < cdf[-1] < math.inf:  # choice rejects such weights up front
+            raise ValueError("roulette weights need a finite, positive sum")
+        cdf /= cdf[-1]
+        new = list(dict.fromkeys(cdf.searchsorted(draws, side="right").tolist()))
+        p.put(new, 0.0)
+        found += new
+    return np.array(found)
 
 
 def ga_explore(
@@ -219,46 +241,55 @@ def ga_explore(
     p_c*p_s*N OX children (parent 1 drawn from the elite tenth) and p_m*p_s*N
     inversion mutants are appended; the best half of that pool survives and
     the rest of the population is resampled randomly. The final population's
-    best N/10 tours are returned, fittest first.
+    best N/10 tours are returned, fittest first. A generation draws the random
+    stream of a child-by-child loop (`_roulette` replays ``rng.choice``) in a
+    few calls on flattened rows, into a pool buffer made before the first one.
     """
     m = dist.shape[0] - 1
     seeds = [np.asarray(t.order, dtype=int) for t in seed_population] if seed_population else None
     population = _initial_population(dist, cfg, seeds, rng)
-    n = cfg.population_size
-    keep = max(2, round(cfg.selection_prob * n))
     costs = _orders_distance(population, dist)
+    if not costs.all():  # on distances, one zero-length tour means all are
+        raise ValueError("every tour has zero length: the delivery nodes all sit on the station")
     fit = 1.0 / costs
 
+    n = cfg.population_size
+    keep = max(2, round(cfg.selection_prob * n))
+    elite_count = max(1, round(0.10 * keep))
+    n_cross = min(round(cfg.crossover_prob * keep), keep) if m >= 2 else 0
+    n_mut = min(round(cfg.mutation_prob * keep), keep) if m >= 2 else 0
+    # one row per child: its elite parent, then both segment ends, drawn in
+    # row-major order as by one rng.integers call each
+    bounds = np.tile([elite_count, m, m], (n_cross, 1))
+    pool = np.empty((keep + n_cross + n_mut, m), dtype=population.dtype)
+    pool_costs = np.empty(pool.shape[0])
+    n_survive = min(n // 2, pool.shape[0])
+    refill_base = np.tile(np.arange(m), (n - n_survive, 1))
+
     for _ in range(cfg.generations):
-        selected_idx = np.sort(rng.choice(n, size=keep, replace=False, p=fit / fit.sum()))
-        pool = population[selected_idx]
-
-        elite_count = max(1, round(0.10 * keep))
-        elites = pool[_top_indices(fit[selected_idx], elite_count)]
-
-        parts = [pool]
-        n_cross = round(cfg.crossover_prob * keep)
-        if n_cross and m >= 2:
-            partners = rng.choice(keep, size=min(n_cross, keep), replace=False)
-            # one row per child: its elite parent, then both segment ends,
-            # drawn in row-major order as by one rng.integers call each
-            draws = rng.integers(np.tile([elite_count, m, m], (partners.size, 1)))
-            lo, hi = np.sort(draws[:, 1:], axis=1).T
-            parts.append(_crossover_rows(elites[draws[:, 0]], pool[partners], lo, hi))
-        n_mut = round(cfg.mutation_prob * keep)
-        if n_mut and m >= 2:
-            chosen = rng.choice(keep, size=min(n_mut, keep), replace=False)
-            lo, hi = np.sort(rng.integers(0, m, size=(chosen.size, 2)), axis=1).T
-            parts.append(_invert_rows(pool[chosen], lo, hi))
+        selected = np.sort(_roulette(rng, fit / fit.sum(), keep))
+        population.take(selected, axis=0, out=pool[:keep])
+        costs.take(selected, out=pool_costs[:keep])
+        if n_cross:
+            partners = rng.choice(keep, size=n_cross, replace=False)
+            draws = rng.integers(bounds)
+            elites = _top_indices(fit[selected], elite_count)
+            pool[keep : keep + n_cross] = _crossover_rows(
+                pool[elites[draws[:, 0]]], pool[partners], draws[:, 1], draws[:, 2]
+            )
+        if n_mut:
+            chosen = rng.choice(keep, size=n_mut, replace=False)
+            ends = rng.integers(0, m, size=(n_mut, 2))
+            pool[keep + n_cross :] = _invert_rows(pool[chosen], ends[:, 0], ends[:, 1])
 
         # a row's cost is independent of its batch: only new rows are costed
-        combined = np.vstack(parts)
-        comb_costs = np.concatenate([costs[selected_idx], _orders_distance(combined[keep:], dist)])
-        survivors = _top_indices(1.0 / comb_costs, min(n // 2, combined.shape[0]))
-        refill = _random_orders(rng, m, n - survivors.size)
-        population = np.vstack([combined[survivors], refill])
-        costs = np.concatenate([comb_costs[survivors], _orders_distance(refill, dist)])
-        fit = 1.0 / costs
+        pool_costs[keep:] = _orders_distance(pool[keep:], dist)
+        survivors = _top_indices(1.0 / pool_costs, n_survive)
+        pool.take(survivors, axis=0, out=population[:n_survive])
+        pool_costs.take(survivors, out=costs[:n_survive])
+        rng.permuted(refill_base, axis=1, out=population[n_survive:])
+        costs[n_survive:] = _orders_distance(population[n_survive:], dist)
+        np.divide(1.0, costs, out=fit)
         if best_trace is not None:
             best_trace.append(float(costs.min()))
 

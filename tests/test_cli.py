@@ -337,3 +337,29 @@ def test_huge_task_count_exits_through_the_slot_cap(tmp_path):
     rc, err = _simulate(scenario, tmp_path)
     assert rc == cli.EXIT_CONFIG
     assert f"more than the {lb.MAX_SLOTS}" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("planner", ["hao", "ga_only"])
+@pytest.mark.parametrize(
+    "offset_m, code",
+    # on the station; 1e-162 m, where every distance underflows to 0; and
+    # 1e-160 m, whose distances (about 9.99994e-161 m) are tiny but positive
+    [(0.0, cli.EXIT_CONFIG), (1e-162, cli.EXIT_CONFIG), (1e-160, cli.EXIT_OK)],
+)
+def test_tours_of_zero_length_are_a_configuration_error(tmp_path, capsys, planner, offset_m, code):
+    data = scen.scenario_to_dict(scen.generate_scenario(3, 3))
+    assert data["station"] == [0.0, 0.0, 0.0]
+    for node in data["nodes"]:
+        node["position_m"] = [offset_m, 0.0, 0.0]
+    scenario_file = tmp_path / "scenario.json"
+    scenario_file.write_text(json.dumps(data))
+    rc = cli.main(
+        ["simulate", "--scenario", str(scenario_file), "--strategy", f"{planner}:full",
+         "--out", str(tmp_path / "sim")]
+    )
+    assert rc == code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == cli.EXIT_CONFIG:
+        assert "every tour has zero length" in err

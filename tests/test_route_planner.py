@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import numpy as np
@@ -318,6 +319,25 @@ def test_batched_refill_matches_successive_permutations(m, count):
     assert batched.bit_generator.state == successive.bit_generator.state
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    n=st.integers(min_value=2, max_value=300),
+    spread=st.floats(min_value=1.0, max_value=1e6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_roulette_matches_weighted_choice_without_replacement(data, n, spread, seed):
+    # ga_explore's selection replays NumPy's loop for this rng.choice call: a
+    # NumPy release that changes that loop must fail here, not move the plans
+    size = data.draw(st.integers(min_value=1, max_value=n))
+    weights = spread ** np.random.default_rng(seed).random(n)
+    p = weights / weights.sum()
+    ours, numpys = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = rp._roulette(ours, p, size)
+    assert got.tolist() == numpys.choice(n, size, replace=False, p=p).tolist()
+    assert ours.bit_generator.state == numpys.bit_generator.state
+
+
 @pytest.mark.parametrize("odd_start", [False, True])
 @pytest.mark.parametrize(
     "ranges",
@@ -474,4 +494,59 @@ def test_edge_hao_runs_are_unchanged(key):
     result = rp.hao_plan(dist, cfg, rp.HaoConfig(max_iterations=key[5]), rng)
     assert result.tour.order == order
     assert tuple(repr(float(t)) for t in result.best_distance_trace) == trace
+    assert repr(rng.random()) == next_draw
+
+
+# As GOLDEN_GA, off the default selection probability, recorded before the
+# roulette was rewritten: p_s = 1 (the selection drains every weight),
+# p_s = 0.1 with no children (the survivors are the few selected, so the
+# refill is larger than half the population), and the default spec at M = 30.
+# Each entry is a sha256 over repr() of the returned orders, the
+# per-generation best costs and the generator's next `random()`.
+# Key: (M, population, selection_prob, crossover_prob, mutation_prob, generations).
+GOLDEN_GA_SELECTION = {
+    (10, 40, 1.0, 0.6, 0.05, 6): (
+        "9b9747c57343d609c55ae66548677907ffccd88c9aff1657794f4fe97b497bfd",
+        ("337.5335823713538",) * 5 + ("336.2417578977648",),
+        "0.1543030584558307",
+    ),
+    (3, 10, 1.0, 1.0, 1.0, 6): (
+        "99001042a26f6821bf43f5102d3cede46050baa1b6ea428aca214e21e547d17d",
+        ("283.7465239738062",) * 6,
+        "0.5943575864974157",
+    ),
+    (12, 60, 0.1, 0.0, 0.0, 5): (
+        "5abfebf7163ebddf51ea3144973cf8264cf7d9490f548168456326e889b17168",
+        ("518.1593448546048", "584.068862122835", "568.8042134754596", "585.7209448989578",
+         "597.6516831380972"),
+        "0.2257274251775685",
+    ),
+    (8, 10, 0.1, 0.0, 0.0, 5): (
+        "45d920dd5e3bb21a6fe911a2ae8b69722cf0584bf3c82ad298dd0853d6f2a3e0",
+        ("474.38798841064175", "463.30721876679434", "504.44965816074176", "480.5604425216518",
+         "500.9106905612164"),
+        "0.3480059296029393",
+    ),
+    (30, 200, 0.4, 0.6, 0.05, 5): (
+        "c81929a7f64b8bc2208636910a45a0bbdb4572d882a506f99af06fb0232e4931",
+        ("539.5375234838998",) + ("570.8275459689078",) * 3 + ("573.4943104093222",),
+        "0.010653218192191005",
+    ),
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_GA_SELECTION))
+def test_selection_ga_runs_are_unchanged(key):
+    digest, trace, next_draw = GOLDEN_GA_SELECTION[key]
+    m, population, ps, pc, pm, generations = key
+    cfg = rp.GaConfig(
+        population_size=population, selection_prob=ps, crossover_prob=pc, mutation_prob=pm,
+        generations=generations,
+    )
+    rng = np.random.default_rng(100 + m * population)
+    got_trace = []
+    tours = rp.ga_explore(_dist(7, m), cfg, rng, best_trace=got_trace)
+    orders = tuple(t.order for t in tours)
+    assert hashlib.sha256(repr(orders).encode()).hexdigest() == digest
+    assert tuple(repr(t) for t in got_trace) == trace
     assert repr(rng.random()) == next_draw
