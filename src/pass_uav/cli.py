@@ -68,7 +68,6 @@ def _spec_from(args) -> harness.StrategySpec:
         ga=ga,
         hao=hao,
         islr_high_count=args.islr_kprime,
-        reoptimize_hover=getattr(args, "reoptimize_hover", False),
     )
 
 
@@ -225,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_scenario_args(p_sim)
     _add_planner_args(p_sim)
     p_sim.add_argument("--strategy", default="hao:bnb", help="planner:activator")
-    p_sim.add_argument("--reoptimize-hover", action="store_true")
     p_sim.add_argument("--out", default="out", help="output directory")
     p_sim.set_defaults(func=cmd_simulate)
 

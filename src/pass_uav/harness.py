@@ -47,7 +47,6 @@ class StrategySpec:
     hao: route_planner.HaoConfig = field(default_factory=route_planner.HaoConfig)
     islr_high_count: Optional[int] = None
     mimo: MimoConfig = field(default_factory=MimoConfig)
-    reoptimize_hover: bool = False
 
     def __post_init__(self):
         if self.planner not in PLANNERS:
@@ -133,27 +132,26 @@ def solve_cycle(
 ) -> lb.EnergyReport:
     """Per-slot optimization over one flight cycle, on one channel block.
 
-    Flying slots are optimized at their own position, by the exact activator
-    all at once; hovering slots reuse the previous slot's activation unless
-    ``spec.reoptimize_hover`` is set. The array baseline has no activation
-    vector and is costed per position.
+    A slot's activation depends only on its position, so each distinct
+    position is solved once (by the exact activator all at once) and every
+    slot at it takes that answer. The array baseline has no activation vector
+    and is costed per position.
     """
     if activator == "mimo":
         powers = tuple(mimo_required_power(scenario, spec.mimo, plan.positions()))
         return lb.EnergyReport(strategy_name="mimo", per_slot_power_w=powers,
                                total_energy_j=lb.cycle_total(powers, plan.slot_seconds),
                                per_slot_activation=())
-    solved = np.array([s.mode == lb.FLYING or spec.reoptimize_hover for s in plan.slots], bool)
-    solved[:1] = True
-    channels = propagation.channel(scenario, plan.positions()[solved])
+    distinct, where = np.unique(plan.positions(), axis=0, return_inverse=True)
+    channels = propagation.channel(scenario, distinct)
     response, delta, rho = act.link_constants(scenario)
     if activator == "bnb":
         rows = act.exact_rows(channels, response, delta, rho)
     else:
         rows = [solve_slot(act.ActivationProblem(h, response, delta, rho), activator, spec)
                 for h in channels]
-    # each slot takes the activation of the last solved slot at or before it
-    activations = [rows[r] for r in np.cumsum(solved) - 1]
+    # NumPy 2 can return the inverse with an extra axis
+    activations = [rows[r] for r in where.reshape(-1)]
     return lb.cycle_energy(scenario, plan, activations, strategy_name=activator)
 
 
@@ -177,8 +175,8 @@ def distance_energy_trace(
     scenario: scen.Scenario, output: DloOutput
 ) -> list[tuple[int, float, float]]:
     """(slot_index, min distance to any coupler, optimized power) for flying
-    slots of the first report; hover slots hold the previous activation and
-    are excluded."""
+    slots of the first report; hover slots, which repeat their node's
+    position, are excluded."""
     powers, flying = output.reports[0].per_slot_power_w, output.slot_plan.flying_indices()
     nearest = propagation.pa_distances(scenario, output.slot_plan.positions()[flying]).min(axis=-1)
     return [(i, float(d), powers[i]) for i, d in zip(flying, nearest)]
@@ -214,25 +212,23 @@ def _scenario_for(variable: str, value, seed: int, node_count: int) -> scen.Scen
     raise ValueError(f"unknown sweep variable '{variable}'")
 
 
-def _sweep_cell(variable, value, seed, node_count, parsed, strategies, base):
+def _sweep_cell(variable, value, seed, node_count, specs, strategies):
     """Energies and failures for one (value, seed) cell; strategies sharing a
     planner reuse its tour and slot plan."""
     scenario = _scenario_for(variable, value, seed, node_count)
-    plans: dict[str, tuple] = {}
+    plans: dict[str, lb.SlotPlan] = {}
     energies: list[Optional[float]] = []
     failures = []
-    for si, (planner, activator) in enumerate(parsed):
+    for spec, strategy in zip(specs, strategies):
         try:
-            if planner not in plans:
-                spec = dataclasses.replace(base, planner=planner, activator=activator)
+            if spec.planner not in plans:
                 tour, _ = plan_tour(scenario, spec)
-                plans[planner] = (spec, lb.discretize(scenario, tour))
-            spec, plan = plans[planner]
-            report = solve_cycle(scenario, plan, activator, spec)
+                plans[spec.planner] = lb.discretize(scenario, tour)
+            report = solve_cycle(scenario, plans[spec.planner], spec.activator, spec)
             energies.append(report.total_energy_j)
         except (lb.InfeasibleSlotError, ValueError) as exc:
             energies.append(None)
-            failures.append((value, strategies[si], seed, str(exc)))
+            failures.append((value, strategy, seed, str(exc)))
     return energies, failures
 
 
@@ -246,20 +242,23 @@ def sweep(
 ) -> ExperimentResult:
     """Cycle-energy grid over one swept variable, averaged across seeds.
 
-    Per-cell failures (e.g. an infeasible slot) are recorded and excluded from
-    the mean rather than aborting the sweep.
+    Empty inputs and unknown strategy names raise ValueError before any cell
+    runs. Per-cell failures (e.g. an infeasible slot) are recorded and
+    excluded from the mean rather than aborting the sweep.
     """
-    if not values:
-        raise ValueError("values must be nonempty")
+    for name, given in (("values", values), ("strategies", strategies), ("seeds", seeds)):
+        if not given:
+            raise ValueError(f"{name} must be nonempty")
     base = base_spec or StrategySpec()
-    parsed = [_parse_strategy(s) for s in strategies]
+    specs = [dataclasses.replace(base, planner=planner, activator=activator)
+             for planner, activator in map(_parse_strategy, strategies)]
     sums = np.zeros((len(values), len(strategies)))
     counts = np.zeros((len(values), len(strategies)), dtype=int)
     failures = []
     for vi, value in enumerate(values):
         for seed in seeds:
             energies, cell_failures = _sweep_cell(
-                variable, value, seed, node_count, parsed, strategies, base
+                variable, value, seed, node_count, specs, strategies
             )
             for si, energy in enumerate(energies):
                 if energy is not None:

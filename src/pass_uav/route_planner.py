@@ -134,45 +134,28 @@ def inversion_mutation(parent, i: int, j: int) -> np.ndarray:
     return _invert_rows(p[None], np.array([i]), np.array([j]))[0]
 
 
-def _greedy(dist: np.ndarray, start_node: Optional[int]) -> list[int]:
-    """Nearest-neighbor walk from the station, optionally forcing the first visit."""
+def _greedy_rows(dist: np.ndarray, count: int) -> np.ndarray:
+    """The first ``count`` greedy seed tours as a (count, M) array, walked
+    together: each step goes to the nearest unvisited node, the lowest index on
+    ties. Row 0 starts at the station; row i >= 1 visits node (i - 1) % M
+    first."""
     m = dist.shape[0] - 1
-    if start_node is not None and not 0 <= start_node < m:
-        raise ValueError("start_node out of range")
-    order = [] if start_node is None else [start_node]
-    unvisited = set(range(m)).difference(order)
-    current = m if start_node is None else start_node
-    while unvisited:
-        current = min(unvisited, key=lambda n: (dist[current, n], n))
-        order.append(current)
-        unvisited.remove(current)
-    return order
+    rows = np.empty((count, m), dtype=int)
+    free = np.ones((count, m), dtype=bool)
+    current = np.full(count, m)
+    for step in range(m):
+        current = np.where(free, dist[current, :m], np.inf).argmin(axis=1)
+        if step == 0:
+            current[1:] = np.arange(count - 1) % m
+        rows[:, step] = current
+        free[np.arange(count), current] = False
+    return rows
 
 
-def nearest_neighbor(scenario: Scenario, start_node: Optional[int] = None) -> Tour:
-    """Greedy construction on the scenario's distances, optionally forcing the first visit."""
+def nearest_neighbor(scenario: Scenario) -> Tour:
+    """The greedy walk from the station on the scenario's distances."""
     dist = distance_matrix(scenario)
-    return make_tour(dist, _greedy(dist, start_node))
-
-
-# The greedy seed tours walked on the last matrix seen. `hao_plan` runs
-# `ga_explore` on one matrix every round, and a later round's greedy rows are
-# a prefix of the first round's, so each plan walks them once.
-_greedy_memo: dict = {}
-
-
-def _greedy_rows(dist: np.ndarray, count: int) -> list[np.ndarray]:
-    """The first ``count`` greedy seed tours: the plain walk, then walks that
-    force the first visit to node 0, 1, ... in turn (cycling past M-1)."""
-    m = dist.shape[0] - 1
-    key = (dist.shape, dist.tobytes())
-    rows = _greedy_memo.get(key, [])
-    if len(rows) < count:
-        rows = rows + [np.asarray(_greedy(dist, None if i == 0 else (i - 1) % m), dtype=int)
-                       for i in range(len(rows), count)]
-        _greedy_memo.clear()
-        _greedy_memo[key] = rows
-    return rows[:count]
+    return make_tour(dist, _greedy_rows(dist, 1)[0])
 
 
 def _random_orders(rng: np.random.Generator, m: int, count: int) -> np.ndarray:

@@ -63,3 +63,19 @@ def ordered_crossover_reference(parent1, parent2, segment):
     child[lo : hi + 1] = p1[lo : hi + 1]
     filler = iter(v for v in (int(v) for v in parent2) if v not in kept)
     return np.array([next(filler) if v is None else v for v in child], dtype=int)
+
+
+def greedy_walk(dist, first=None):
+    """Scalar nearest-neighbor oracle on an (M+1)x(M+1) matrix whose last
+    index is the station: from the station, or from node ``first`` as the
+    forced first visit, go to the nearest unvisited node, the lowest index on
+    ties."""
+    m = len(dist) - 1
+    order = [] if first is None else [first]
+    unvisited = set(range(m)).difference(order)
+    current = m if first is None else first
+    while unvisited:
+        current = min(unvisited, key=lambda n: (dist[current][n], n))
+        order.append(current)
+        unvisited.remove(current)
+    return order

@@ -1,7 +1,10 @@
+import argparse
 import contextlib
 import copy
 import io
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -99,6 +102,29 @@ def test_benchmark_writes_sweep(tmp_path):
     text = (outdir / "sweep_rate_threshold.csv").read_text()
     assert text.startswith("value,strategy,mean_energy_j,seed_count,failure_count")
     assert len(text.splitlines()) == 3
+
+
+@pytest.mark.parametrize("flags, cause", [
+    (["--strategies", "hao:bogus,nearest_neighbor:full", "--seeds", "1"], "unknown activator 'bogus'"),
+    (["--strategies", "nearest_neighbor:full", "--seeds", "5-3"], "seeds must be nonempty"),
+    (["--strategies", ",", "--seeds", "1"], "strategies must be nonempty"),
+])
+def test_benchmark_configuration_errors_exit_2_without_csv(tmp_path, capsys, flags, cause):
+    outdir = tmp_path / "bench"
+    rc = cli.main(["benchmark", "--values", "5", "--nodes", "3", *flags, "--out", str(outdir)])
+    assert rc == cli.EXIT_CONFIG
+    assert cause in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_readme_cli_flags_exist():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    flags = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    accepted = {opt for p in subparsers.choices.values() for opt in p._option_string_actions}
+    assert flags and flags <= accepted, sorted(flags - accepted)
 
 
 def test_invalid_config_exit_code():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from oracles import scalar_gain
 from scipy.stats import spearmanr
+from test_link_budget import _single_node_scenario
 
 from pass_uav import activation as act
 from pass_uav import harness
@@ -109,11 +110,40 @@ def test_hover_slots_copy_previous_activation():
             assert np.array_equal(acts[i], acts[i - 1])
 
 
-def test_reoptimize_hover_never_costs_more():
+def test_exact_multiple_leg_hover_is_solved_at_the_node():
+    # the 10 m leg is two whole 5 m steps, so the last flying slot sits 5 m
+    # short of the node; the hover slots must still be costed at the node
+    # (reference energies from hover slots solved at their own position)
+    s = _single_node_scenario((10.0, 0.0, 0.0))
+    for activator, expected in (("bnb", 0.033225146974068594), ("islr", 0.07469485613379538)):
+        out = harness.run_dlo(s, harness.StrategySpec(planner="nearest_neighbor",
+                                                      activator=activator))
+        assert out.total_energy_j == expected
+
+
+@pytest.mark.parametrize("activator", ["bnb", "islr", "full", "exhaustive"])
+def test_every_slot_takes_the_answer_at_its_own_position(activator):
+    spec = fast_spec(planner="nearest_neighbor", activator=activator)
+    for s in (_single_node_scenario((10.0, 0.0, 0.0)), scen.generate_scenario(3, 3)):
+        out = harness.run_dlo(s, spec)
+        for slot, bits in zip(out.slot_plan.slots, out.reports[0].per_slot_activation):
+            problem = act.ActivationProblem.from_scenario(s, slot.position_m)
+            assert np.array_equal(bits, harness.solve_slot(problem, activator, spec))
+
+
+def test_solve_cycle_solves_each_distinct_position_once(monkeypatch):
     s = scen.generate_scenario(3, 3)
-    held = harness.run_dlo(s, fast_spec(planner="nearest_neighbor"))
-    reopt = harness.run_dlo(s, fast_spec(planner="nearest_neighbor", reoptimize_hover=True))
-    assert reopt.total_energy_j <= held.total_energy_j * (1.0 + 1e-12)
+    plan = lb.discretize(s, rp.nearest_neighbor(s))
+    distinct = len({slot.position_m for slot in plan.slots})
+    assert distinct < plan.total_slots
+    calls, rows = [], []
+    real_solve, real_rows = harness.solve_slot, act.exact_rows
+    monkeypatch.setattr(harness, "solve_slot", lambda *a: calls.append(1) or real_solve(*a))
+    monkeypatch.setattr(act, "exact_rows", lambda h, *a: rows.append(len(h)) or real_rows(h, *a))
+    harness.solve_cycle(s, plan, "islr", fast_spec())
+    harness.solve_cycle(s, plan, "bnb", fast_spec())
+    assert len(calls) == distinct
+    assert rows == [distinct]
 
 
 def test_planner_dispatch_held_karp_is_shortest():

@@ -9,7 +9,7 @@ from pass_uav import harness
 from pass_uav import route_planner as rp
 from pass_uav import scenario as scen
 
-from oracles import ordered_crossover_reference
+from oracles import greedy_walk, ordered_crossover_reference
 
 
 def _scenario_with_nodes(positions, station=(0.0, 0.0, 0.0)):
@@ -250,17 +250,18 @@ def test_hao_single_iteration_reduces_to_ga_plus_refine():
     assert result.tour.total_distance_m == pytest.approx(expected, rel=1e-12)
 
 
-def test_hao_plan_walks_the_greedy_seeds_once(monkeypatch):
-    # every round seeds its population with the same greedy tours on the same
-    # matrix (the first round 10, later rounds the first 9): one walk each
-    starts = []
-    walk = rp._greedy
-    monkeypatch.setattr(rp, "_greedy_memo", {})
-    monkeypatch.setattr(rp, "_greedy", lambda dist, start: starts.append(start) or walk(dist, start))
-    ga = rp.GaConfig(population_size=200, generations=5)
-    result = rp.hao_plan(_dist(13, 12), ga, rp.HaoConfig(max_iterations=4), np.random.default_rng(2))
-    assert len(result.best_distance_trace) > 1
-    assert starts == [None, *range(9)]
+def test_greedy_rows_match_the_scalar_walks():
+    rng = np.random.default_rng(5)
+    matrices = [_dist(13, 12), np.ones((5, 5))]  # a generated scenario, all ties
+    matrices += [rng.random((m + 1, m + 1)) for m in (1, 2, 3, 7, 7)]
+    matrices += [rng.integers(0, 3, (m + 1, m + 1)).astype(float) for m in (1, 2, 3, 6)]
+    for dist in matrices:
+        m = dist.shape[0] - 1
+        for count in (0, 1, 2, m + 3, 2 * m + 1):
+            rows = rp._greedy_rows(dist, count)
+            assert rows.shape == (count, m)
+            expected = [greedy_walk(dist, None if i == 0 else (i - 1) % m) for i in range(count)]
+            assert rows.tolist() == expected
 
 
 def test_hao_matches_held_karp_on_small_instances():
