@@ -72,14 +72,17 @@ def _spec_from(args) -> harness.StrategySpec:
 
 
 def _add_planner_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--population", type=int, default=200)
-    parser.add_argument("--generations", type=int, default=100)
-    parser.add_argument("--ps", type=float, default=0.4, help="selection probability")
-    parser.add_argument("--pc", type=float, default=0.6, help="crossover probability")
-    parser.add_argument("--pm", type=float, default=0.05, help="mutation probability")
-    parser.add_argument("--pg", type=float, default=0.05, help="greedy seed fraction")
-    parser.add_argument("--hao-iterations", type=int, default=10)
-    parser.add_argument("--subpath", type=int, default=3, help="refinement window size")
+    ga, hao = route_planner.GaConfig, route_planner.HaoConfig
+    parser.add_argument("--population", type=int, default=ga.population_size)
+    parser.add_argument("--generations", type=int, default=ga.generations)
+    parser.add_argument("--ps", type=float, default=ga.selection_prob, help="selection probability")
+    parser.add_argument("--pc", type=float, default=ga.crossover_prob, help="crossover probability")
+    parser.add_argument("--pm", type=float, default=ga.mutation_prob, help="mutation probability")
+    parser.add_argument("--pg", type=float, default=ga.greedy_seed_fraction,
+                        help="greedy seed fraction")
+    parser.add_argument("--hao-iterations", type=int, default=hao.max_iterations)
+    parser.add_argument("--subpath", type=int, default=hao.subpath_length,
+                        help="refinement window size")
     parser.add_argument("--islr-kprime", type=int, default=None)
 
 

@@ -17,7 +17,6 @@ import numpy as np
 from . import activation as act
 from . import link_budget as lb
 from . import propagation, route_planner, scenario as scen
-from .link_budget import _fmt
 
 PLANNERS = ("hao", "ga_only", "nearest_neighbor", "held_karp")
 ACTIVATORS = ("bnb", "islr", "full", "exhaustive", "mimo")
@@ -188,6 +187,7 @@ class ExperimentResult:
     sweep_values: tuple
     strategies: tuple[str, ...]
     energies: np.ndarray  # (values, strategies) means over seeds
+    seed_counts: np.ndarray  # (values, strategies) seeds each mean is taken over
     seeds: tuple[int, ...]
     failures: tuple[tuple, ...]  # (value, strategy, seed, message)
 
@@ -272,6 +272,7 @@ def sweep(
         sweep_values=tuple(values),
         strategies=tuple(strategies),
         energies=means,
+        seed_counts=counts,
         seeds=tuple(seeds),
         failures=tuple(failures),
     )
@@ -293,38 +294,25 @@ def write_tour_json(path: Path, tour: route_planner.Tour, planner: str, seed: in
 
 
 def write_slots_csv(path: Path, plan: lb.SlotPlan) -> None:
-    lines = ["slot_index,mode,x,y,z,node_index"]
-    for i, slot in enumerate(plan.slots):
-        node = "" if slot.node_index is None else str(slot.node_index)
-        x, y, z = slot.position_m
-        lines.append(f"{i},{slot.mode},{_fmt(x)},{_fmt(y)},{_fmt(z)},{node}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    lb.write_csv(path, "slot_index,mode,x,y,z,node_index", (
+        (*cells, "" if slot.node_index is None else slot.node_index)
+        for cells, slot in zip(lb.slot_cells(plan), plan.slots)
+    ))
 
 
 def write_planner_trace_csv(path: Path, trace: Sequence[float]) -> None:
-    lines = ["iteration,best_distance_m"]
-    for i, d in enumerate(trace, start=1):
-        lines.append(f"{i},{_fmt(d)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    lb.write_csv(path, "iteration,best_distance_m", enumerate(trace, start=1))
 
 
 def write_distance_trace_csv(path: Path, rows: Sequence[tuple[int, float, float]]) -> None:
-    lines = ["slot_index,distance_m,power_w"]
-    for idx, dist, power in rows:
-        lines.append(f"{idx},{_fmt(dist)},{_fmt(power)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    lb.write_csv(path, "slot_index,distance_m,power_w", rows)
 
 
 def write_sweep_csv(path: Path, result: ExperimentResult) -> None:
-    lines = ["value,strategy,mean_energy_j,seed_count,failure_count"]
-    fail_count: dict[tuple, int] = {}
-    for value, strategy, _, _ in result.failures:
-        fail_count[(value, strategy)] = fail_count.get((value, strategy), 0) + 1
-    for vi, value in enumerate(result.sweep_values):
-        for si, strategy in enumerate(result.strategies):
-            failures = fail_count.get((value, strategy), 0)
-            ok = len(result.seeds) - failures
-            mean = result.energies[vi, si]
-            mean_s = _fmt(mean) if math.isfinite(mean) else "nan"
-            lines.append(f"{_fmt(value)},{strategy},{mean_s},{ok},{failures}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """One row per (value, strategy) cell: its mean over the seeds that
+    succeeded ("nan" when none did), and how many succeeded and failed."""
+    lb.write_csv(path, "value,strategy,mean_energy_j,seed_count,failure_count", (
+        (value, strategy, mean if math.isfinite(mean) else "nan", ok, len(result.seeds) - ok)
+        for value, means, oks in zip(result.sweep_values, result.energies, result.seed_counts)
+        for strategy, mean, ok in zip(result.strategies, means, oks)
+    ))

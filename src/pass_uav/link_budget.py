@@ -1,4 +1,9 @@
-"""Rates, minimum transmit power, slot discretization and cycle energy totals."""
+"""Rates, minimum transmit power, slot discretization and cycle energy totals.
+
+Also the one CSV line format every flat file uses: ``write_csv`` writes a
+header and one comma-joined line per row, each cell formatted by ``_fmt``
+(floats by repr, so a file round-trips every value exactly).
+"""
 
 from __future__ import annotations
 
@@ -93,24 +98,6 @@ def _slot_count(amount: float, per_slot: float) -> float:
     return math.ceil(quotient) if math.isfinite(quotient) else math.inf
 
 
-def _segment_slots(start: np.ndarray, end: np.ndarray, length: float, count: int,
-                   step_m: float) -> list[np.ndarray]:
-    """Flying-slot positions along one straight segment of ``count`` slots.
-
-    Slot j sits at the slot-start point j*step from the segment start, except
-    that a partial final slot is clamped onto the segment endpoint so arrival
-    geometry is exact.
-    """
-    direction = (end - start) / length if count else None
-    positions = []
-    for j in range(count):
-        if j == count - 1 and length - j * step_m < step_m:
-            positions.append(end.copy())
-        else:
-            positions.append(start + direction * (j * step_m))
-    return positions
-
-
 def discretize(scenario: Scenario, tour: Tour) -> SlotPlan:
     """Slot-by-slot flight cycle for a closed tour.
 
@@ -139,8 +126,12 @@ def discretize(scenario: Scenario, tour: Tour) -> SlotPlan:
 
     slots: list[Slot] = []
     for leg, (a, b) in enumerate(zip(stops, stops[1:])):
-        for p in _segment_slots(a, b, lengths[leg], fly_counts[leg], fly_step):
-            slots.append(Slot(position_m=tuple(p), mode=FLYING))
+        count = fly_counts[leg]
+        if count:
+            flying = a + (b - a) / lengths[leg] * (np.arange(count)[:, None] * fly_step)
+            if lengths[leg] - (count - 1) * fly_step < fly_step:
+                flying[-1] = b  # a partial last slot lands on the target
+            slots.extend(Slot(position_m=tuple(p), mode=FLYING) for p in flying)
         if leg < len(tour.order):
             node_idx = tour.order[leg]
             hover = Slot(position_m=tuple(b), mode=HOVERING, node_index=node_idx)
@@ -202,23 +193,30 @@ def _fmt(x) -> str:
     return repr(float(x)) if isinstance(x, (float, np.floating)) else str(x)
 
 
+def write_csv(path, header: str, rows) -> None:
+    """A header line, then one line per row of cells formatted by _fmt."""
+    lines = [header, *(",".join(map(_fmt, row)) for row in rows)]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def slot_cells(plan: SlotPlan) -> list[tuple[str, ...]]:
+    """Each slot's slot_index, mode, x, y and z cells, formatted."""
+    return [(str(i), s.mode, *map(_fmt, s.position_m)) for i, s in enumerate(plan.slots)]
+
+
 def write_energy_csv(path, plan: SlotPlan, reports: Sequence[EnergyReport],
                      mimo_elements: int = 0) -> None:
     """One row per slot per strategy; K_a falls back to the array element
     count for reports without activation vectors."""
-    lines = ["slot_index,mode,x,y,z,strategy,K_a,power_w"]
+    cells, rows = slot_cells(plan), []
     for report in reports:
-        for i, slot in enumerate(plan.slots):
-            if report.per_slot_activation:
-                ka = int(np.sum(report.per_slot_activation[i]))
-            else:
-                ka = mimo_elements
-            x, y, z = slot.position_m
-            lines.append(
-                f"{i},{slot.mode},{_fmt(x)},{_fmt(y)},{_fmt(z)},"
-                f"{report.strategy_name},{ka},{_fmt(report.per_slot_power_w[i])}"
-            )
-    Path(path).write_text("\n".join(lines) + "\n")
+        if report.per_slot_activation:
+            active = np.sum(report.per_slot_activation, axis=-1)
+        else:
+            active = [mimo_elements] * len(cells)
+        rows += [(*slot, report.strategy_name, k, power)
+                 for slot, k, power in zip(cells, active, report.per_slot_power_w)]
+    write_csv(path, "slot_index,mode,x,y,z,strategy,K_a,power_w", rows)
 
 
 def write_energy_json(path, reports: Sequence[EnergyReport]) -> None:

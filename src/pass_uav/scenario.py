@@ -3,13 +3,19 @@
 All values are SI internally (meters, seconds, watts, Hz). Scenario files store
 the noise power in dBm and convert to watts once at parse time. Instances are
 immutable after construction and safe to share across workers.
+
+A scenario file's ``physics``, ``waveguide`` and ``nodes[i]`` sections hold the
+constructor fields of PhysicsConfig, WaveguideConfig and DeliveryNode: both
+directions read the field names and types from the dataclasses themselves.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sys
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -294,28 +300,19 @@ def generate_scenario(
     )
 
 
+def _section_dict(obj) -> dict:
+    """An object's constructor fields by name, tuples written as lists."""
+    values = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj) if f.init}
+    return {name: list(v) if isinstance(v, tuple) else v for name, v in values.items()}
+
+
 def scenario_to_dict(s: Scenario) -> dict:
     """JSON-ready dict; lengths in meters, noise power in dBm, frequencies in Hz."""
     return {
-        "physics": {
-            "carrier_frequency_hz": s.physics.carrier_frequency_hz,
-            "noise_power_dbm": s.physics.noise_power_dbm,
-            "refraction_index": s.physics.refraction_index,
-            "rate_threshold_bps_hz": s.physics.rate_threshold_bps_hz,
-            "radiation_constant": s.physics.radiation_constant,
-        },
-        "waveguide": {
-            "y_m": s.waveguide.y_m,
-            "z_m": s.waveguide.z_m,
-            "span_m": s.waveguide.span_m,
-            "feed_x_m": s.waveguide.feed_x_m,
-            "pa_x_m": list(s.waveguide.pa_x_m),
-            "min_spacing_m": s.waveguide.min_spacing_m,
-        },
+        "physics": _section_dict(s.physics),
+        "waveguide": _section_dict(s.waveguide),
         "station": list(s.station_m),
-        "nodes": [
-            {"position_m": list(n.position_m), "task_count": n.task_count} for n in s.nodes
-        ],
+        "nodes": [_section_dict(n) for n in s.nodes],
         "speeds": {
             "flight_mps": s.flight_speed_mps,
             "delivery_tps": s.delivery_speed_tps,
@@ -373,6 +370,22 @@ def _integer(mapping: dict, key: str, where: str) -> int:
     return value
 
 
+_READERS = {float: _number, int: _integer}
+
+
+def _section(cls, mapping, where: str):
+    """A cls built from the file section holding its constructor fields; each
+    field is read as a number, an integer or a list of numbers by its type."""
+    hints = typing.get_type_hints(cls)
+    values = {}
+    for f in dataclasses.fields(cls):
+        if f.init:
+            hint = hints[f.name]
+            read = _numbers if typing.get_origin(hint) is tuple else _READERS[hint]
+            values[f.name] = read(mapping, f.name, where)
+    return cls(**values)
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     physics_raw = _require(data, "physics", "top level")
     waveguide_raw = _require(data, "waveguide", "top level")
@@ -381,33 +394,14 @@ def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(nodes_raw, list):
         raise ScenarioError("field 'nodes' in top level must be a list")
 
-    physics = PhysicsConfig(
-        carrier_frequency_hz=_number(physics_raw, "carrier_frequency_hz", "physics"),
-        noise_power_dbm=_number(physics_raw, "noise_power_dbm", "physics"),
-        refraction_index=_number(physics_raw, "refraction_index", "physics"),
-        rate_threshold_bps_hz=_number(physics_raw, "rate_threshold_bps_hz", "physics"),
-        radiation_constant=_number(physics_raw, "radiation_constant", "physics"),
-    )
-    waveguide = WaveguideConfig(
-        y_m=_number(waveguide_raw, "y_m", "waveguide"),
-        z_m=_number(waveguide_raw, "z_m", "waveguide"),
-        span_m=_number(waveguide_raw, "span_m", "waveguide"),
-        feed_x_m=_number(waveguide_raw, "feed_x_m", "waveguide"),
-        pa_x_m=_numbers(waveguide_raw, "pa_x_m", "waveguide"),
-        min_spacing_m=_number(waveguide_raw, "min_spacing_m", "waveguide"),
-    )
-    nodes = [
-        DeliveryNode(
-            position_m=_numbers(raw, "position_m", f"nodes[{i}]"),
-            task_count=_integer(raw, "task_count", f"nodes[{i}]"),
-        )
-        for i, raw in enumerate(nodes_raw)
-    ]
+    physics = _section(PhysicsConfig, physics_raw, "physics")
+    waveguide = _section(WaveguideConfig, waveguide_raw, "waveguide")
+    nodes = tuple(_section(DeliveryNode, raw, f"nodes[{i}]") for i, raw in enumerate(nodes_raw))
     return Scenario(
         physics=physics,
         waveguide=waveguide,
         station_m=_numbers(data, "station", "top level"),
-        nodes=tuple(nodes),
+        nodes=nodes,
         flight_speed_mps=_number(speeds_raw, "flight_mps", "speeds"),
         delivery_speed_tps=_number(speeds_raw, "delivery_tps", "speeds"),
         slot_seconds=_number(data, "slot_seconds", "top level"),

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import copy
+import hashlib
 import io
 import json
 import re
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pass_uav import cli, link_budget as lb
+from pass_uav import route_planner as rp
 from pass_uav import scenario as scen
 
 FAST = ["--population", "40", "--generations", "10", "--hao-iterations", "2"]
@@ -104,6 +106,34 @@ def test_benchmark_writes_sweep(tmp_path):
     assert len(text.splitlines()) == 3
 
 
+def test_benchmark_sweep_matches_the_golden_digest(tmp_path):
+    outdir = tmp_path / "bench"
+    rc = cli.main(
+        ["benchmark", "--variable", "pa_count", "--values", "4,8",
+         "--strategies", "nearest_neighbor:bnb,held_karp:islr,nearest_neighbor:mimo",
+         "--seeds", "1-2", "--nodes", "5", "--out", str(outdir)]
+    )
+    assert rc == 0
+    data = (outdir / "sweep_pa_count.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "5eccd6b2d840955aa3c866bb09d13eba3b56c560862d26d569cbc58d66dfb396"
+    )
+
+
+@pytest.mark.parametrize("values, strategies", [
+    ("5,5", "held_karp:full"),
+    ("5", "held_karp:full,held_karp:full"),
+])
+def test_benchmark_counts_a_repeated_row_once(tmp_path, values, strategies):
+    """Held-Karp refuses 17 nodes, so each row has 0 seeds and 2 failures."""
+    outdir = tmp_path / "bench"
+    rc = cli.main(["benchmark", "--values", values, "--strategies", strategies,
+                   "--seeds", "1-2", "--nodes", "17", "--out", str(outdir)])
+    assert rc == 0
+    rows = (outdir / "sweep_rate_threshold.csv").read_text().splitlines()[1:]
+    assert rows == ["5.0,held_karp:full,nan,0,2"] * 2
+
+
 @pytest.mark.parametrize("flags, cause", [
     (["--strategies", "hao:bogus,nearest_neighbor:full", "--seeds", "1"], "unknown activator 'bogus'"),
     (["--strategies", "nearest_neighbor:full", "--seeds", "5-3"], "seeds must be nonempty"),
@@ -125,6 +155,33 @@ def test_readme_cli_flags_exist():
     subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     accepted = {opt for p in subparsers.choices.values() for opt in p._option_string_actions}
     assert flags and flags <= accepted, sorted(flags - accepted)
+
+
+# The config field behind each planner flag.
+_PLANNER_FLAG_FIELDS = {
+    "--population": (rp.GaConfig, "population_size"),
+    "--generations": (rp.GaConfig, "generations"),
+    "--ps": (rp.GaConfig, "selection_prob"),
+    "--pc": (rp.GaConfig, "crossover_prob"),
+    "--pm": (rp.GaConfig, "mutation_prob"),
+    "--pg": (rp.GaConfig, "greedy_seed_fraction"),
+    "--hao-iterations": (rp.HaoConfig, "max_iterations"),
+    "--subpath": (rp.HaoConfig, "subpath_length"),
+}
+
+
+def test_readme_planner_defaults_match_the_parser_and_configs():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    documented = dict(re.findall(r"`(--[a-z-]+)`\s+(?:[A-Za-z-]+\s+)*\(([0-9.]+)", section))
+    assert documented.keys() == _PLANNER_FLAG_FIELDS.keys()
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("plan", "simulate"):
+        actions = subparsers.choices[command]._option_string_actions
+        for flag, (config, name) in _PLANNER_FLAG_FIELDS.items():
+            default = getattr(config(), name)
+            assert actions[flag].default == default == float(documented[flag]), (command, flag)
 
 
 def test_invalid_config_exit_code():

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ from test_link_budget import _single_node_scenario
 from pass_uav import activation as act
 from pass_uav import harness
 from pass_uav import link_budget as lb
+from pass_uav import propagation
 from pass_uav import route_planner as rp
 from pass_uav import scenario as scen
 
@@ -256,3 +258,39 @@ def test_sweep_records_failures_without_aborting(monkeypatch):
     )
     assert len(result.failures) == 1
     assert math.isfinite(result.energies[0, 0])
+
+
+def _written_digest(directory) -> str:
+    h = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("seed, nodes", [(1, 10), (2, 30)])
+def test_cycle_files_match_the_golden_digest(tmp_path, seed, nodes):
+    """Every file a benchmark cycle writes, with four reports in energy.csv
+    (three with activation vectors, the array baseline with its element count)."""
+    s = scen.generate_scenario(seed, nodes)
+    spec = fast_spec()
+    output = harness.run_dlo(s, spec, extra_activators=("islr", "full", "mimo"))
+    harness.write_tour_json(tmp_path / "tour.json", output.tour, spec.planner, s.rng_seed)
+    harness.write_slots_csv(tmp_path / "slots.csv", output.slot_plan)
+    lb.write_energy_csv(tmp_path / "energy.csv", output.slot_plan, output.reports,
+                        mimo_elements=spec.mimo.element_count)
+    lb.write_energy_json(tmp_path / "energy.json", output.reports)
+    harness.write_planner_trace_csv(tmp_path / "hao_trace.csv", output.planner_trace)
+    slots = output.slot_plan.slots
+    rows = [
+        (i, float(propagation.pa_distances(s, slots[i].position_m).min()),
+         output.reports[0].per_slot_power_w[i])
+        for i in output.slot_plan.flying_indices()
+    ]
+    harness.write_distance_trace_csv(tmp_path / "trace_distance.csv", rows)
+    assert _written_digest(tmp_path) == GOLDEN_CYCLE_FILES[seed, nodes]
+
+
+GOLDEN_CYCLE_FILES = {
+    (1, 10): "519def9579100aa3b526d9eea8a97cdbc31e52006126a00600449c7476f64679",
+    (2, 30): "66b9441a997fcd87082d8489026ecccc35571e2226b7740493c43731a5871ad8",
+}

@@ -124,3 +124,39 @@ def test_vanishing_power_floor_rejected(fields):
 def test_small_but_usable_link_budget_scales_accepted():
     assert scen.PhysicsConfig(rate_threshold_bps_hz=1e-15).rate_threshold_bps_hz == 1e-15
     assert math.isfinite(scen.PhysicsConfig(carrier_frequency_hz=1e-140).wavelength_m ** 2)
+
+
+# Every constructor field of the three file sections, with the kind of value
+# the file must hold there.
+_FILE_FIELDS = [
+    ("physics", "carrier_frequency_hz", "a number"),
+    ("physics", "noise_power_dbm", "a number"),
+    ("physics", "refraction_index", "a number"),
+    ("physics", "rate_threshold_bps_hz", "a number"),
+    ("physics", "radiation_constant", "a number"),
+    ("waveguide", "y_m", "a number"),
+    ("waveguide", "z_m", "a number"),
+    ("waveguide", "span_m", "a number"),
+    ("waveguide", "feed_x_m", "a number"),
+    ("waveguide", "pa_x_m", "a list of numbers"),
+    ("waveguide", "min_spacing_m", "a number"),
+    ("nodes[1]", "position_m", "a list of numbers"),
+    ("nodes[1]", "task_count", "an integer"),
+]
+
+
+def _section(data, where):
+    return data["nodes"][1] if where == "nodes[1]" else data[where]
+
+
+@pytest.mark.parametrize("where, key, kind", _FILE_FIELDS)
+def test_each_file_field_is_named_when_missing_or_mistyped(where, key, kind):
+    data = scen.scenario_to_dict(scen.generate_scenario(3, 3))
+    del _section(data, where)[key]
+    with pytest.raises(scen.ScenarioError) as missing:
+        scen.scenario_from_dict(data)
+    assert str(missing.value) == f"scenario file is missing field '{key}' in {where}"
+    _section(data, where)[key] = "x"
+    with pytest.raises(scen.ScenarioError) as mistyped:
+        scen.scenario_from_dict(data)
+    assert str(mistyped.value) == f"field '{key}' in {where} must be {kind}"
