@@ -49,13 +49,21 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
-# Unused: the exact activator needs no LP. The import stays because the
-# benchmark's traced run counts HiGHS solves through this module attribute;
-# removing it (and SciPy from the runtime) retargets those layer metrics.
-from scipy.optimize import linprog  # noqa: F401
 
 from . import propagation
 from .scenario import Scenario
+
+
+def __getattr__(name: str):
+    # The traced benchmark run wraps SciPy's `linprog` here; load it on first use only.
+    if name == "linprog":
+        try:
+            from scipy.optimize import linprog
+        except ImportError as exc:
+            raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from exc
+        return linprog
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 EXHAUSTIVE_MAX_K = 20
 # Bound on the relative error of a float orientation determinant (Shewchuk's

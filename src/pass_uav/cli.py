@@ -108,6 +108,10 @@ def cmd_activate(args) -> int:
         position = tuple(float(v) for v in args.position.split(","))
         if len(position) != 3:
             raise scen.ScenarioError("--position must be x,y,z")
+        if not scen._within_bounds(position):
+            raise scen.ScenarioError(
+                f"--position coordinates must be finite and within ±{scen.MAX_COORDINATE_M:g} m"
+            )
     else:
         spec = harness.StrategySpec(planner=args.planner)
         tour, _ = harness.plan_tour(scenario, spec)

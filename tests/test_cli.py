@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pass_uav import cli, link_budget as lb
+from pass_uav import cli, harness, link_budget as lb
 from pass_uav import route_planner as rp
 from pass_uav import scenario as scen
 
@@ -69,6 +69,33 @@ def test_activate_requires_exactly_one_location():
          "--slot", "0"]
     )
     assert rc == cli.EXIT_CONFIG
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("activator", harness.ACTIVATORS)
+@pytest.mark.parametrize("position", ["nan,0,0", "0,inf,5", "0,0,-inf", "1e400,0,0", "1.01e150,0,5"])
+def test_activate_position_out_of_range_is_a_configuration_error(capsys, position, activator):
+    rc = cli.main(
+        ["activate", "--seed", "3", "--nodes", "2", f"--position={position}",
+         "--activator", activator]
+    )
+    assert rc == cli.EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("invalid configuration: --position coordinates must be finite "
+                   "and within ±1e+150 m\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("activator", harness.ACTIVATORS)
+def test_activate_position_at_the_bound_runs(capsys, activator):
+    bound = scen.MAX_COORDINATE_M
+    rc = cli.main(
+        ["activate", "--seed", "3", "--nodes", "2", f"--position={-bound},0,5",
+         "--activator", activator]
+    )
+    assert rc == cli.EXIT_OK
+    assert "required power" in capsys.readouterr().out
 
 
 def test_simulate_outputs(tmp_path):
