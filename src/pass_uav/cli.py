@@ -49,7 +49,17 @@ def _load_scenario(args) -> scen.Scenario:
     )
 
 
-def _spec_from(args) -> harness.StrategySpec:
+def _out_dir(raw: str) -> Path:
+    """The --out directory, created with its parents if missing."""
+    out = Path(raw)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise scen.ScenarioError(f"cannot create --out directory {out}: {exc.strerror}") from None
+    return out
+
+
+def _spec_from(args, islr_high_count=None) -> harness.StrategySpec:
     planner, activator = harness._parse_strategy(args.strategy)
     ga = route_planner.GaConfig(
         population_size=args.population,
@@ -67,7 +77,7 @@ def _spec_from(args) -> harness.StrategySpec:
         activator=activator,
         ga=ga,
         hao=hao,
-        islr_high_count=args.islr_kprime,
+        islr_high_count=islr_high_count,
     )
 
 
@@ -83,15 +93,13 @@ def _add_planner_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--hao-iterations", type=int, default=hao.max_iterations)
     parser.add_argument("--subpath", type=int, default=hao.subpath_length,
                         help="refinement window size")
-    parser.add_argument("--islr-kprime", type=int, default=None)
 
 
 def cmd_plan(args) -> int:
     scenario = _load_scenario(args)
     spec = _spec_from(args)
     tour, trace = harness.plan_tour(scenario, spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     harness.write_tour_json(out / "tour.json", tour, spec.planner, scenario.rng_seed)
     if trace:
         harness.write_planner_trace_csv(out / "hao_trace.csv", trace)
@@ -148,10 +156,9 @@ def cmd_activate(args) -> int:
 
 def cmd_simulate(args) -> int:
     scenario = _load_scenario(args)
-    spec = _spec_from(args)
+    spec = _spec_from(args, args.islr_kprime)
     output = harness.run_dlo(scenario, spec)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args.out)
     harness.write_tour_json(out / "tour.json", output.tour, spec.planner, scenario.rng_seed)
     harness.write_slots_csv(out / "slots.csv", output.slot_plan)
     lb.write_energy_csv(
@@ -171,13 +178,6 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _parse_values(raw: str, variable: str):
-    vals = [v for v in raw.split(",") if v]
-    if variable == "rate_threshold":
-        return [float(v) for v in vals]
-    return [int(v) for v in vals]
-
-
 def _parse_seeds(raw: str) -> list[int]:
     if "-" in raw and "," not in raw:
         lo, hi = raw.split("-", 1)
@@ -187,12 +187,10 @@ def _parse_seeds(raw: str) -> list[int]:
 
 def cmd_benchmark(args) -> int:
     strategies = [s for s in args.strategies.split(",") if s]
-    values = _parse_values(args.values, args.variable)
+    values = [harness.SWEEP_VARIABLES[args.variable](v) for v in args.values.split(",") if v]
     seeds = _parse_seeds(args.seeds)
     result = harness.sweep(args.variable, values, strategies, seeds, node_count=args.nodes)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / f"sweep_{args.variable}.csv"
+    path = _out_dir(args.out) / f"sweep_{args.variable}.csv"
     harness.write_sweep_csv(path, result)
     print(f"wrote {path}")
     for value, strategy, seed, msg in result.failures:
@@ -230,15 +228,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run one full delivery cycle")
     _add_scenario_args(p_sim)
     _add_planner_args(p_sim)
+    p_sim.add_argument("--islr-kprime", type=int, default=None)
     p_sim.add_argument("--strategy", default="hao:bnb", help="planner:activator")
     p_sim.add_argument("--out", default="out", help="output directory")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_bench = sub.add_parser("benchmark", help="sweep a variable over strategies and seeds")
-    p_bench.add_argument(
-        "--variable", default="rate_threshold",
-        choices=["rate_threshold", "pa_count", "node_count"],
-    )
+    p_bench.add_argument("--variable", default="rate_threshold", choices=list(harness.SWEEP_VARIABLES))
     p_bench.add_argument("--values", default="3,4,5,6,7")
     p_bench.add_argument("--strategies", default="hao:bnb,hao:islr,hao:full,hao:mimo")
     p_bench.add_argument("--seeds", default="1-20")

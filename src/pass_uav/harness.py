@@ -1,11 +1,15 @@
 """Full-cycle runs: outer route planning feeding per-slot activation
 optimization, baseline strategies including a conventional multi-antenna
 array, benchmark sweeps, and the flat-file outputs the CLI emits.
+
+A sweep keeps every cell's cycle energy in one (values, seeds, strategies)
+array, ``ExperimentResult.cycle_energies``, NaN where the cell failed.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -140,18 +144,17 @@ def solve_cycle(
         powers = tuple(mimo_required_power(scenario, spec.mimo, plan.positions()))
         return lb.EnergyReport(strategy_name="mimo", per_slot_power_w=powers,
                                total_energy_j=lb.cycle_total(powers, plan.slot_seconds),
-                               per_slot_activation=())
+                               per_slot_activation=np.zeros((0, 0), dtype=np.int8))
     distinct, where = np.unique(plan.positions(), axis=0, return_inverse=True)
     channels = propagation.channel(scenario, distinct)
     response, delta, rho = act.link_constants(scenario)
     if activator == "bnb":
         rows = act.exact_rows(channels, response, delta, rho)
     else:
-        rows = [solve_slot(act.ActivationProblem(h, response, delta, rho), activator, spec)
-                for h in channels]
+        rows = np.array([solve_slot(act.ActivationProblem(h, response, delta, rho), activator, spec)
+                         for h in channels])
     # NumPy 2 can return the inverse with an extra axis
-    activations = [rows[r] for r in where.reshape(-1)]
-    return lb.cycle_energy(scenario, plan, activations, strategy_name=activator)
+    return lb.cycle_energy(scenario, plan, rows[where.reshape(-1)], strategy_name=activator)
 
 
 def run_dlo(
@@ -186,10 +189,25 @@ class ExperimentResult:
     sweep_variable: str
     sweep_values: tuple
     strategies: tuple[str, ...]
-    energies: np.ndarray  # (values, strategies) means over seeds
-    seed_counts: np.ndarray  # (values, strategies) seeds each mean is taken over
     seeds: tuple[int, ...]
+    cycle_energies: np.ndarray  # (values, seeds, strategies) cycle energy, NaN where a cell failed
     failures: tuple[tuple, ...]  # (value, strategy, seed, message)
+
+    @property
+    def seed_counts(self) -> np.ndarray:
+        """(values, strategies) seeds each mean is taken over."""
+        return np.sum(~np.isnan(self.cycle_energies), axis=1)
+
+    @property
+    def energies(self) -> np.ndarray:
+        """(values, strategies) means over the seeds that succeeded, NaN where none did."""
+        with np.errstate(invalid="ignore"):  # cumsum adds in seed order; nansum adds 8+ pairwise
+            return np.nancumsum(self.cycle_energies, axis=1)[:, -1] / self.seed_counts
+
+
+# The variables a sweep may run over and the type of their values. pa_count and
+# node_count are generate_scenario arguments; the rate threshold is a physics override.
+SWEEP_VARIABLES = {"rate_threshold": float, "pa_count": int, "node_count": int}
 
 
 def _parse_strategy(label: str) -> tuple[str, str]:
@@ -201,35 +219,12 @@ def _parse_strategy(label: str) -> tuple[str, str]:
 
 
 def _scenario_for(variable: str, value, seed: int, node_count: int) -> scen.Scenario:
+    value = SWEEP_VARIABLES[variable](value)
     if variable == "rate_threshold":
         return scen.generate_scenario(
-            seed, node_count, physics_overrides={"rate_threshold_bps_hz": float(value)}
+            seed, node_count, physics_overrides={"rate_threshold_bps_hz": value}
         )
-    if variable == "pa_count":
-        return scen.generate_scenario(seed, node_count, pa_count=int(value))
-    if variable == "node_count":
-        return scen.generate_scenario(seed, int(value))
-    raise ValueError(f"unknown sweep variable '{variable}'")
-
-
-def _sweep_cell(variable, value, seed, node_count, specs, strategies):
-    """Energies and failures for one (value, seed) cell; strategies sharing a
-    planner reuse its tour and slot plan."""
-    scenario = _scenario_for(variable, value, seed, node_count)
-    plans: dict[str, lb.SlotPlan] = {}
-    energies: list[Optional[float]] = []
-    failures = []
-    for spec, strategy in zip(specs, strategies):
-        try:
-            if spec.planner not in plans:
-                tour, _ = plan_tour(scenario, spec)
-                plans[spec.planner] = lb.discretize(scenario, tour)
-            report = solve_cycle(scenario, plans[spec.planner], spec.activator, spec)
-            energies.append(report.total_energy_j)
-        except (lb.InfeasibleSlotError, ValueError) as exc:
-            energies.append(None)
-            failures.append((value, strategy, seed, str(exc)))
-    return energies, failures
+    return scen.generate_scenario(seed, **{"node_count": node_count, variable: value})
 
 
 def sweep(
@@ -240,42 +235,35 @@ def sweep(
     node_count: int = 10,
     base_spec: Optional[StrategySpec] = None,
 ) -> ExperimentResult:
-    """Cycle-energy grid over one swept variable, averaged across seeds.
+    """Cycle energy of every (value, seed, strategy) cell over one swept variable.
 
-    Empty inputs and unknown strategy names raise ValueError before any cell
-    runs. Per-cell failures (e.g. an infeasible slot) are recorded and
-    excluded from the mean rather than aborting the sweep.
+    Bad inputs raise ValueError before any cell runs. Strategies sharing a
+    planner reuse its tour and slot plan within a (value, seed) cell. A cell
+    that fails (e.g. an infeasible slot) is recorded and left NaN.
     """
+    if variable not in SWEEP_VARIABLES:
+        raise ValueError(f"unknown sweep variable '{variable}'")
     for name, given in (("values", values), ("strategies", strategies), ("seeds", seeds)):
         if not given:
             raise ValueError(f"{name} must be nonempty")
     base = base_spec or StrategySpec()
     specs = [dataclasses.replace(base, planner=planner, activator=activator)
              for planner, activator in map(_parse_strategy, strategies)]
-    sums = np.zeros((len(values), len(strategies)))
-    counts = np.zeros((len(values), len(strategies)), dtype=int)
+    cells = np.full((len(values), len(seeds), len(strategies)), np.nan)
     failures = []
-    for vi, value in enumerate(values):
-        for seed in seeds:
-            energies, cell_failures = _sweep_cell(
-                variable, value, seed, node_count, specs, strategies
-            )
-            for si, energy in enumerate(energies):
-                if energy is not None:
-                    sums[vi, si] += energy
-                    counts[vi, si] += 1
-            failures.extend(cell_failures)
-    with np.errstate(invalid="ignore"):
-        means = np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
-    return ExperimentResult(
-        sweep_variable=variable,
-        sweep_values=tuple(values),
-        strategies=tuple(strategies),
-        energies=means,
-        seed_counts=counts,
-        seeds=tuple(seeds),
-        failures=tuple(failures),
-    )
+    for (vi, value), (ni, seed) in itertools.product(enumerate(values), enumerate(seeds)):
+        scenario = _scenario_for(variable, value, seed, node_count)
+        plans: dict[str, lb.SlotPlan] = {}
+        for si, (spec, strategy) in enumerate(zip(specs, strategies)):
+            try:
+                if spec.planner not in plans:
+                    plans[spec.planner] = lb.discretize(scenario, plan_tour(scenario, spec)[0])
+                report = solve_cycle(scenario, plans[spec.planner], spec.activator, spec)
+                cells[vi, ni, si] = report.total_energy_j
+            except (lb.InfeasibleSlotError, ValueError) as exc:
+                failures.append((value, strategy, seed, str(exc)))
+    return ExperimentResult(variable, tuple(values), tuple(strategies), tuple(seeds), cells,
+                            tuple(failures))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Rates, minimum transmit power, slot discretization and cycle energy totals.
 
+A report's activations are one (S, K) int8 block, ``per_slot_activation``, a
+row per slot; the array baseline, which has none, holds an empty (0, 0) block.
+
 Also the one CSV line format every flat file uses: ``write_csv`` writes a
 header and one comma-joined line per row, each cell formatted by ``_fmt``
 (floats by repr, so a file round-trips every value exactly).
@@ -144,7 +147,7 @@ class EnergyReport:
     strategy_name: str
     per_slot_power_w: tuple[float, ...]
     total_energy_j: float
-    per_slot_activation: tuple
+    per_slot_activation: np.ndarray  # (S, K) int8, one row per slot; (0, 0) when there are none
 
 
 def cycle_total(powers: Sequence[float], slot_seconds: float) -> float:
@@ -161,7 +164,7 @@ def cycle_total(powers: Sequence[float], slot_seconds: float) -> float:
 def cycle_energy(
     scenario: Scenario,
     plan: SlotPlan,
-    activation_per_slot: Sequence,
+    activation_per_slot,
     strategy_name: str = "custom",
 ) -> EnergyReport:
     """Per-slot minimum power, costed on one channel block, and the cycle total.
@@ -170,16 +173,14 @@ def cycle_energy(
     and says whether its activation has zero gain or the power overflows a
     float; such a slot is a configuration error, not an infinite-energy result.
     """
-    if len(activation_per_slot) != plan.total_slots:
-        raise ValueError(
-            "need one activation per slot (%d != %d)"
-            % (len(activation_per_slot), plan.total_slots)
-        )
+    activations = propagation.as_activation(activation_per_slot)
+    if len(activations) != plan.total_slots:
+        raise ValueError(f"need one activation per slot ({len(activations)} != {plan.total_slots})")
     phys = scenario.physics
-    activations = tuple(propagation.as_activation(a) for a in activation_per_slot)
     channels = propagation.channel(scenario, plan.positions())
+    activations = activations.reshape(channels.shape)
     response, delta, _ = link_constants(scenario)
-    gains = combined_gains(channels, response, np.reshape(activations, channels.shape), delta)
+    gains = combined_gains(channels, response, activations, delta)
     powers = [required_power(g, phys.rate_threshold_bps_hz, phys.noise_power_w) for g in gains]
     for idx, p in enumerate(powers):
         if not math.isfinite(p):
@@ -210,7 +211,7 @@ def write_energy_csv(path, plan: SlotPlan, reports: Sequence[EnergyReport],
     count for reports without activation vectors."""
     cells, rows = slot_cells(plan), []
     for report in reports:
-        if report.per_slot_activation:
+        if report.per_slot_activation.size:
             active = np.sum(report.per_slot_activation, axis=-1)
         else:
             active = [mimo_elements] * len(cells)
@@ -221,16 +222,7 @@ def write_energy_csv(path, plan: SlotPlan, reports: Sequence[EnergyReport],
 
 def write_energy_json(path, reports: Sequence[EnergyReport]) -> None:
     """Full bitmaps per slot, for downstream tooling that needs them."""
-    payload = []
-    for report in reports:
-        payload.append(
-            {
-                "strategy": report.strategy_name,
-                "total_energy_j": report.total_energy_j,
-                "per_slot_power_w": list(report.per_slot_power_w),
-                "per_slot_activation": [
-                    [int(b) for b in bits] for bits in report.per_slot_activation
-                ],
-            }
-        )
+    payload = [{"strategy": r.strategy_name, "total_energy_j": r.total_energy_j,
+                "per_slot_power_w": list(r.per_slot_power_w),
+                "per_slot_activation": r.per_slot_activation.tolist()} for r in reports]
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

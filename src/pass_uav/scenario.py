@@ -412,6 +412,8 @@ def scenario_from_dict(data: dict) -> Scenario:
 def load_scenario(path: str | Path) -> Scenario:
     try:
         data = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ScenarioError(f"cannot read scenario file {path}: {exc.strerror}") from None
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"cannot parse scenario file {path}: line {exc.lineno}: {exc.msg}")
     return scenario_from_dict(data)

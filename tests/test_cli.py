@@ -147,6 +147,65 @@ def test_benchmark_sweep_matches_the_golden_digest(tmp_path):
     )
 
 
+def test_one_strategy_sweep_sums_its_seeds_in_order(tmp_path):
+    """With one strategy and eight or more seeds, a pairwise sum (np.nansum)
+    rounds the 3.0 row's mean differently from adding the seeds in order."""
+    outdir = tmp_path / "bench"
+    rc = cli.main(["benchmark", "--strategies", "nearest_neighbor:full", "--seeds", "1-12",
+                   "--nodes", "2", "--out", str(outdir)])
+    assert rc == 0
+    data = (outdir / "sweep_rate_threshold.csv").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "b202d4e2af78ae180e6338b5980efda629c807af316246d1447903dc6930c63b"
+    )
+
+
+def test_benchmark_variables_and_value_types_come_from_the_harness(tmp_path, capsys):
+    parser = cli.build_parser()
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    variable = subparsers.choices["benchmark"]._option_string_actions["--variable"]
+    assert variable.choices == list(harness.SWEEP_VARIABLES)
+    outdir = tmp_path / "bench"
+    common = ["--strategies", "nearest_neighbor:full", "--seeds", "1", "--nodes", "2"]
+    assert cli.main(["benchmark", "--values", "3", *common, "--out", str(outdir)]) == 0
+    assert (outdir / "sweep_rate_threshold.csv").read_text().splitlines()[1].startswith("3.0,")
+    rc = cli.main(["benchmark", "--variable", "pa_count", "--values", "4.5", *common,
+                   "--out", str(outdir)])
+    assert rc == cli.EXIT_CONFIG
+    assert "'4.5'" in capsys.readouterr().err
+    assert not (outdir / "sweep_pa_count.csv").exists()
+
+
+_SWEEP = ["--values", "5", "--strategies", "nearest_neighbor:full", "--seeds", "1"]
+
+
+@pytest.mark.parametrize("argv, named", [
+    pytest.param(["simulate", "--scenario", "{missing}"], "{missing}", id="scenario-missing"),
+    pytest.param(["simulate", "--scenario", "{dir}"], "{dir}", id="scenario-is-a-directory"),
+    *(pytest.param([command, *extra, "--out", "{file}"], "--out directory {file}",
+                   id=f"{command}-out-is-a-file")
+      for command, extra in (("plan", FAST), ("simulate", FAST), ("benchmark", _SWEEP))),
+])
+def test_bad_paths_are_configuration_errors(tmp_path, capsys, argv, named):
+    paths = {"missing": tmp_path / "no" / "such.json", "dir": tmp_path, "file": tmp_path / "taken"}
+    paths["file"].write_text("not a directory\n")
+    rc = cli.main([arg.format(**paths) for arg in argv] + ["--nodes", "2"])
+    assert rc == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert named.format(**paths) in err
+    assert "Traceback" not in err
+    assert paths["file"].read_text() == "not a directory\n"
+
+
+def test_plan_takes_no_islr_kprime(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["plan", "--islr-kprime", "3", "--out", str(tmp_path / "plan")])
+    assert exc.value.code == cli.EXIT_CONFIG
+    parser = cli.build_parser()
+    for command in ("simulate", "activate"):
+        assert parser.parse_args([command, "--islr-kprime", "3"]).islr_kprime == 3
+
+
 @pytest.mark.parametrize("values, strategies", [
     ("5,5", "held_karp:full"),
     ("5", "held_karp:full,held_karp:full"),

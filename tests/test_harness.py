@@ -1,4 +1,6 @@
 import hashlib
+import itertools
+import json
 import math
 
 import numpy as np
@@ -203,6 +205,52 @@ def test_sweep_is_deterministic():
     a = harness.sweep("rate_threshold", **kw)
     b = harness.sweep("rate_threshold", **kw)
     assert np.array_equal(a.energies, b.energies)
+
+
+def test_sweep_keeps_every_cell_and_derives_means_and_counts_from_them():
+    # Held-Karp refuses 17 nodes, so its column fails at that value only
+    strategies = ["nearest_neighbor:full", "held_karp:islr", "nearest_neighbor:mimo"]
+    values, seeds = [3, 17], [1, 2, 3]
+    result = harness.sweep("node_count", values, strategies, seeds, base_spec=fast_spec())
+    assert result.cycle_energies.shape == (len(values), len(seeds), len(strategies))
+    failed = {(v, name, seed) for v, name, seed, _ in result.failures}
+    assert failed == {(17, "held_karp:islr", seed) for seed in seeds}
+    for (vi, value), (ni, seed), (si, name) in itertools.product(
+        enumerate(values), enumerate(seeds), enumerate(strategies)
+    ):
+        energy = result.cycle_energies[vi, ni, si]
+        if (value, name, seed) in failed:
+            assert math.isnan(energy)
+            continue
+        s = scen.generate_scenario(seed, value)
+        planner, activator = name.split(":")
+        spec = fast_spec(planner=planner, activator=activator)
+        plan = lb.discretize(s, harness.plan_tour(s, spec)[0])
+        assert energy == harness.solve_cycle(s, plan, activator, spec).total_energy_j
+    for vi, si in itertools.product(range(len(values)), range(len(strategies))):
+        ok = [e for e in result.cycle_energies[vi, :, si] if not math.isnan(e)]
+        total = 0.0
+        for e in ok:
+            total += e
+        assert result.seed_counts[vi, si] == len(ok)
+        mean = result.energies[vi, si]
+        assert mean == total / len(ok) if ok else math.isnan(mean)
+
+
+def test_every_report_holds_one_activation_block(tmp_path):
+    s = scen.generate_scenario(3, 4)
+    output = harness.run_dlo(s, fast_spec(), extra_activators=("islr", "full", "exhaustive", "mimo"))
+    k, slots = s.waveguide.pa_count, output.slot_plan.total_slots
+    for report in output.reports[:-1]:
+        assert report.per_slot_activation.dtype == np.int8
+        assert report.per_slot_activation.shape == (slots, k)
+    mimo = output.reports[-1]
+    assert mimo.per_slot_activation.shape == (0, 0)
+    lb.write_energy_json(tmp_path / "energy.json", output.reports)
+    written = json.loads((tmp_path / "energy.json").read_text())
+    assert [r["per_slot_activation"] for r in written] == [
+        r.per_slot_activation.tolist() for r in output.reports[:-1]
+    ] + [[]]
 
 
 def test_nested_couplers_energy_monotone():
