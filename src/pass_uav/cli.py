@@ -6,6 +6,8 @@ Exit codes: 0 success, 2 invalid configuration, 3 infeasible slot.
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from pathlib import Path
 
@@ -23,7 +25,7 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--scenario", type=Path, help="scenario JSON file (overrides --seed/--nodes)")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--nodes", type=int, default=10, help="delivery node count")
-    parser.add_argument("--pa-count", type=int, default=10)
+    parser.add_argument("--pa-count", type=int, default=None)
     parser.add_argument("--rth", type=float, default=None, help="minimum rate in bps/Hz")
     parser.add_argument("--delta", type=float, default=None, help="per-coupler amplitude constant")
     parser.add_argument("--tau", type=float, default=None, help="slot length in seconds")
@@ -32,9 +34,11 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
 def _load_scenario(args) -> scen.Scenario:
     if args.scenario is not None:
         s = scen.load_scenario(args.scenario)
-        if any(v is not None for v in (args.rth, args.delta, args.tau)):
-            raise scen.ScenarioError("--rth/--delta/--tau apply to generated scenarios only")
+        if any(v is not None for v in (args.pa_count, args.rth, args.delta, args.tau)):
+            raise scen.ScenarioError(
+                "--pa-count/--rth/--delta/--tau apply to generated scenarios only")
         return s
+    sizes = {} if args.pa_count is None else {"pa_count": args.pa_count}
     overrides = {}
     if args.rth is not None:
         overrides["rate_threshold_bps_hz"] = args.rth
@@ -43,15 +47,23 @@ def _load_scenario(args) -> scen.Scenario:
     return scen.generate_scenario(
         args.seed,
         args.nodes,
-        pa_count=args.pa_count,
         physics_overrides=overrides,
         slot_seconds=args.tau if args.tau is not None else 1.0,
+        **sizes,
     )
 
 
-def _out_dir(raw: str) -> Path:
-    """The --out directory, created with its parents if missing."""
+def _out_path(raw: str) -> Path:
+    """The --out path, which must be a directory or absent; nothing is created."""
     out = Path(raw)
+    if out.exists() and not out.is_dir():
+        raise scen.ScenarioError(
+            f"cannot create --out directory {out}: {os.strerror(errno.EEXIST)}")
+    return out
+
+
+def _out_dir(out: Path) -> Path:
+    """The --out directory, created with its parents if missing."""
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -98,8 +110,9 @@ def _add_planner_args(parser: argparse.ArgumentParser) -> None:
 def cmd_plan(args) -> int:
     scenario = _load_scenario(args)
     spec = _spec_from(args)
+    out = _out_path(args.out)
     tour, trace = harness.plan_tour(scenario, spec)
-    out = _out_dir(args.out)
+    _out_dir(out)
     harness.write_tour_json(out / "tour.json", tour, spec.planner, scenario.rng_seed)
     if trace:
         harness.write_planner_trace_csv(out / "hao_trace.csv", trace)
@@ -128,8 +141,8 @@ def cmd_activate(args) -> int:
             raise scen.ScenarioError(
                 f"--slot must lie in [0, {plan.total_slots - 1}] for this plan"
             )
-        position = plan.slots[args.slot].position_m
-        print(f"slot {args.slot} ({plan.slots[args.slot].mode}) at "
+        position = plan.positions()[args.slot]
+        print(f"slot {args.slot} ({plan.slots.mode[args.slot]}) at "
               f"({position[0]:.3f}, {position[1]:.3f}, {position[2]:.3f})")
     problem = act.ActivationProblem.from_scenario(scenario, position)
     spec = harness.StrategySpec(activator=args.activator, islr_high_count=args.islr_kprime)
@@ -157,8 +170,9 @@ def cmd_activate(args) -> int:
 def cmd_simulate(args) -> int:
     scenario = _load_scenario(args)
     spec = _spec_from(args, args.islr_kprime)
+    out = _out_path(args.out)
     output = harness.run_dlo(scenario, spec)
-    out = _out_dir(args.out)
+    _out_dir(out)
     harness.write_tour_json(out / "tour.json", output.tour, spec.planner, scenario.rng_seed)
     harness.write_slots_csv(out / "slots.csv", output.slot_plan)
     lb.write_energy_csv(
@@ -189,8 +203,9 @@ def cmd_benchmark(args) -> int:
     strategies = [s for s in args.strategies.split(",") if s]
     values = [harness.SWEEP_VARIABLES[args.variable](v) for v in args.values.split(",") if v]
     seeds = _parse_seeds(args.seeds)
+    out = _out_path(args.out)
     result = harness.sweep(args.variable, values, strategies, seeds, node_count=args.nodes)
-    path = _out_dir(args.out) / f"sweep_{args.variable}.csv"
+    path = _out_dir(out) / f"sweep_{args.variable}.csv"
     harness.write_sweep_csv(path, result)
     print(f"wrote {path}")
     for value, strategy, seed, msg in result.failures:

@@ -137,24 +137,24 @@ def solve_cycle(
 
     A slot's activation depends only on its position, so each distinct
     position is solved once (by the exact activator all at once) and every
-    slot at it takes that answer. The array baseline has no activation vector
-    and is costed per position.
+    slot at it takes that answer; the same block then costs the cycle. The
+    array baseline has no activation vector and is costed per position.
     """
     if activator == "mimo":
         powers = tuple(mimo_required_power(scenario, spec.mimo, plan.positions()))
         return lb.EnergyReport(strategy_name="mimo", per_slot_power_w=powers,
                                total_energy_j=lb.cycle_total(powers, plan.slot_seconds),
                                per_slot_activation=np.zeros((0, 0), dtype=np.int8))
-    distinct, where = np.unique(plan.positions(), axis=0, return_inverse=True)
-    channels = propagation.channel(scenario, distinct)
+    channels = propagation.channel(scenario, plan.positions())
+    _, first, where = np.unique(plan.positions(), axis=0, return_index=True, return_inverse=True)
     response, delta, rho = act.link_constants(scenario)
     if activator == "bnb":
-        rows = act.exact_rows(channels, response, delta, rho)
+        rows = act.exact_rows(channels[first], response, delta, rho)
     else:
         rows = np.array([solve_slot(act.ActivationProblem(h, response, delta, rho), activator, spec)
-                         for h in channels])
+                         for h in channels[first]])
     # NumPy 2 can return the inverse with an extra axis
-    return lb.cycle_energy(scenario, plan, rows[where.reshape(-1)], strategy_name=activator)
+    return lb.cycle_energy(scenario, plan, rows[where.reshape(-1)], activator, channels=channels)
 
 
 def run_dlo(
@@ -181,7 +181,7 @@ def distance_energy_trace(
     position, are excluded."""
     powers, flying = output.reports[0].per_slot_power_w, output.slot_plan.flying_indices()
     nearest = propagation.pa_distances(scenario, output.slot_plan.positions()[flying]).min(axis=-1)
-    return [(i, float(d), powers[i]) for i, d in zip(flying, nearest)]
+    return [(i, float(d), powers[i]) for i, d in zip(flying.tolist(), nearest)]
 
 
 @dataclass(frozen=True)
@@ -237,12 +237,22 @@ def sweep(
 ) -> ExperimentResult:
     """Cycle energy of every (value, seed, strategy) cell over one swept variable.
 
-    Bad inputs raise ValueError before any cell runs. Strategies sharing a
-    planner reuse its tour and slot plan within a (value, seed) cell. A cell
-    that fails (e.g. an infeasible slot) is recorded and left NaN.
+    Bad inputs raise ValueError before any cell runs, among them a value that
+    its variable's SWEEP_VARIABLES type would change (4.5 for pa_count).
+    Strategies sharing a planner reuse its tour and slot plan within a
+    (value, seed) cell. A cell that fails (e.g. an infeasible slot) is
+    recorded and left NaN.
     """
     if variable not in SWEEP_VARIABLES:
         raise ValueError(f"unknown sweep variable '{variable}'")
+    kind = SWEEP_VARIABLES[variable]
+    for value in values:
+        try:
+            kept = kind(value) == value or value != value  # NaN is left to the scenario's check
+        except (TypeError, ValueError, OverflowError):
+            kept = False
+        if not kept:
+            raise ValueError(f"{variable} takes {kind.__name__} values, not {value!r}")
     for name, given in (("values", values), ("strategies", strategies), ("seeds", seeds)):
         if not given:
             raise ValueError(f"{name} must be nonempty")
@@ -283,8 +293,8 @@ def write_tour_json(path: Path, tour: route_planner.Tour, planner: str, seed: in
 
 def write_slots_csv(path: Path, plan: lb.SlotPlan) -> None:
     lb.write_csv(path, "slot_index,mode,x,y,z,node_index", (
-        (*cells, "" if slot.node_index is None else slot.node_index)
-        for cells, slot in zip(lb.slot_cells(plan), plan.slots)
+        (*cells, "" if node < 0 else node)
+        for cells, node in zip(lb.slot_cells(plan), plan.slots.node_index.tolist())
     ))
 
 

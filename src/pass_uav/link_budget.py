@@ -14,7 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .scenario import Scenario, ScenarioError
 
 FLYING = "flying"
 HOVERING = "hovering"
-# The most slots one cycle may hold. A plan keeps one object per slot and every
+# The most slots one cycle may hold. A plan keeps one row per slot and every
 # slot is solved and costed, so a scenario that asks for more (a tiny
 # slot_seconds, a near-zero speed) is rejected before anything is built. The
 # reference cycles hold a few hundred slots.
@@ -68,28 +68,25 @@ def infeasible(where: str, gain: float) -> InfeasibleSlotError:
     return InfeasibleSlotError(f"{where} has zero gain under its activation")
 
 
-@dataclass(frozen=True)
-class Slot:
-    position_m: tuple[float, float, float]
-    mode: str
-    node_index: Optional[int] = None
+# A slot's record; node_index is -1 while flying.
+SLOT_DTYPE = np.dtype([("position_m", float, (3,)), ("mode", "U8"), ("node_index", int)])
 
 
 @dataclass(frozen=True)
 class SlotPlan:
-    slots: tuple[Slot, ...]
+    slots: np.recarray  # (S,) SLOT_DTYPE records
     slot_seconds: float
 
     @property
     def total_slots(self) -> int:
         return len(self.slots)
 
-    def flying_indices(self) -> list[int]:
-        return [i for i, s in enumerate(self.slots) if s.mode == FLYING]
+    def flying_indices(self) -> np.ndarray:
+        return np.flatnonzero(self.slots.mode == FLYING)
 
     def positions(self) -> np.ndarray:
-        """The (S, 3) block of slot positions."""
-        return np.array([s.position_m for s in self.slots], dtype=float).reshape(-1, 3)
+        """The (S, 3) block of slot positions, a view of the records."""
+        return self.slots.position_m
 
 
 def _slot_count(amount: float, per_slot: float) -> float:
@@ -117,9 +114,10 @@ def discretize(scenario: Scenario, tour: Tour) -> SlotPlan:
     node_pos = scenario.node_positions()
 
     stops = [station, *(node_pos[i] for i in tour.order), station]
+    ends = [*tour.order, -1]  # the node each leg ends at; the last leg ends at the station
     lengths = [float(np.linalg.norm(b - a)) for a, b in zip(stops, stops[1:])]
     fly_counts = [_slot_count(d, fly_step) if d > 0.0 else 0 for d in lengths]
-    hover_counts = [_slot_count(scenario.nodes[i].task_count, tasks_per_slot) for i in tour.order]
+    hover_counts = [_slot_count(scenario.nodes[i].task_count, tasks_per_slot) for i in tour.order] + [0]
     total = sum(fly_counts) + sum(hover_counts)
     if not total <= MAX_SLOTS:
         raise ScenarioError(
@@ -127,19 +125,18 @@ def discretize(scenario: Scenario, tour: Tour) -> SlotPlan:
             "check slot_seconds and the speeds"
         )
 
-    slots: list[Slot] = []
-    for leg, (a, b) in enumerate(zip(stops, stops[1:])):
-        count = fly_counts[leg]
+    blocks = []  # each leg's flying rows, then the hover rows at its end
+    for a, b, length, count, hovers in zip(stops, stops[1:], lengths, fly_counts, hover_counts):
         if count:
-            flying = a + (b - a) / lengths[leg] * (np.arange(count)[:, None] * fly_step)
-            if lengths[leg] - (count - 1) * fly_step < fly_step:
+            flying = a + (b - a) / length * (np.arange(count)[:, None] * fly_step)
+            if length - (count - 1) * fly_step < fly_step:
                 flying[-1] = b  # a partial last slot lands on the target
-            slots.extend(Slot(position_m=tuple(p), mode=FLYING) for p in flying)
-        if leg < len(tour.order):
-            node_idx = tour.order[leg]
-            hover = Slot(position_m=tuple(b), mode=HOVERING, node_index=node_idx)
-            slots.extend(hover for _ in range(hover_counts[leg]))
-    return SlotPlan(slots=tuple(slots), slot_seconds=tau)
+            blocks.append(flying)
+        blocks.append(np.tile(b, (hovers, 1)))
+    node_index = np.repeat(np.column_stack([np.full(len(ends), -1), ends]).ravel(),
+                           np.column_stack([fly_counts, hover_counts]).ravel())
+    columns = [np.concatenate(blocks), np.where(node_index < 0, FLYING, HOVERING), node_index]
+    return SlotPlan(np.rec.fromarrays(columns, dtype=SLOT_DTYPE), slot_seconds=tau)
 
 
 @dataclass(frozen=True)
@@ -166,9 +163,11 @@ def cycle_energy(
     plan: SlotPlan,
     activation_per_slot,
     strategy_name: str = "custom",
+    *, channels: np.ndarray | None = None,
 ) -> EnergyReport:
     """Per-slot minimum power, costed on one channel block, and the cycle total.
 
+    ``channels`` is the plan's (S, K) channel block; it is built when omitted.
     Raises InfeasibleSlotError for the first slot that needs infinite power,
     and says whether its activation has zero gain or the power overflows a
     float; such a slot is a configuration error, not an infinite-energy result.
@@ -177,7 +176,7 @@ def cycle_energy(
     if len(activations) != plan.total_slots:
         raise ValueError(f"need one activation per slot ({len(activations)} != {plan.total_slots})")
     phys = scenario.physics
-    channels = propagation.channel(scenario, plan.positions())
+    channels = propagation.channel(scenario, plan.positions()) if channels is None else channels
     activations = activations.reshape(channels.shape)
     response, delta, _ = link_constants(scenario)
     gains = combined_gains(channels, response, activations, delta)
@@ -202,7 +201,8 @@ def write_csv(path, header: str, rows) -> None:
 
 def slot_cells(plan: SlotPlan) -> list[tuple[str, ...]]:
     """Each slot's slot_index, mode, x, y and z cells, formatted."""
-    return [(str(i), s.mode, *map(_fmt, s.position_m)) for i, s in enumerate(plan.slots)]
+    return [(str(i), mode, *map(_fmt, xyz))
+            for i, (mode, xyz) in enumerate(zip(plan.slots.mode.tolist(), plan.positions().tolist()))]
 
 
 def write_energy_csv(path, plan: SlotPlan, reports: Sequence[EnergyReport],

@@ -1,6 +1,7 @@
 """Independent reference implementations used by unit and acceptance tests."""
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -79,3 +80,27 @@ def greedy_walk(dist, first=None):
         order.append(current)
         unvisited.remove(current)
     return order
+
+
+def slot_walk(scenario, order):
+    """Slot-by-slot oracle for a plan: (position_m, mode, node_index) per slot,
+    node_index None while flying, built one slot object at a time. Each leg
+    steps v_f*tau from its start; a partial last step lands on the target, and
+    the UAV then hovers ceil(tasks / (v_d*tau)) slots at the node."""
+    fly_step = scenario.flight_speed_mps * scenario.slot_seconds
+    tasks_per_slot = scenario.delivery_speed_tps * scenario.slot_seconds
+    station = np.asarray(scenario.station_m, dtype=float)
+    stops = [station, *(scenario.node_positions()[i] for i in order), station]
+    slots = []
+    for leg, (a, b) in enumerate(zip(stops, stops[1:])):
+        length = float(np.linalg.norm(b - a))
+        count = math.ceil(length / fly_step) if length > 0.0 else 0
+        if count:
+            flying = a + (b - a) / length * (np.arange(count)[:, None] * fly_step)
+            if length - (count - 1) * fly_step < fly_step:
+                flying[-1] = b
+            slots.extend((tuple(p), "flying", None) for p in flying)
+        if leg < len(order):
+            hovers = math.ceil(scenario.nodes[order[leg]].task_count / tasks_per_slot)
+            slots.extend((tuple(b), "hovering", order[leg]) for _ in range(hovers))
+    return slots

@@ -297,6 +297,49 @@ def test_scenario_file_roundtrip(tmp_path):
     assert rc == 0
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--pa-count", "16"), ("--rth", "4"), ("--delta", "0.5"), ("--tau", "0.5"),
+])
+@pytest.mark.parametrize("command, extra", [
+    ("plan", FAST), ("activate", ["--position", "45,5,5", "--activator", "full"]),
+    ("simulate", FAST),
+])
+def test_generator_flags_with_a_scenario_file_are_configuration_errors(
+        tmp_path, capsys, command, extra, flag, value):
+    path = tmp_path / "scenario.json"
+    scen.save_scenario(scen.generate_scenario(11, 3), path)
+    outdir = tmp_path / "out"
+    out = [] if command == "activate" else ["--out", str(outdir)]
+    rc = cli.main([command, "--scenario", str(path), *extra, flag, value, *out])
+    assert rc == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == ("invalid configuration: "
+                            "--pa-count/--rth/--delta/--tau apply to generated scenarios only\n")
+    assert captured.out == ""
+    assert not outdir.exists()
+
+
+def test_generated_scenarios_take_the_pa_count_flag_or_ten(capsys):
+    for flags, couplers in (([], 10), (["--pa-count", "16"], 16)):
+        rc = cli.main(["activate", "--seed", "3", "--nodes", "2", "--position", "45,5,5",
+                       "--activator", "full", *flags])
+        assert rc == 0
+        assert f"activation: {'1' * couplers}\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command, extra, work", [
+    ("plan", FAST, "plan_tour"), ("simulate", FAST, "run_dlo"), ("benchmark", _SWEEP, "sweep"),
+])
+def test_an_out_file_fails_before_any_work(tmp_path, capsys, monkeypatch, command, extra, work):
+    monkeypatch.setattr(harness, work, lambda *a, **k: pytest.fail(f"{work} ran"))
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    rc = cli.main([command, *extra, "--nodes", "2", "--out", str(taken)])
+    assert rc == cli.EXIT_CONFIG
+    assert f"--out directory {taken}" in capsys.readouterr().err
+    assert taken.read_text() == "not a directory\n"
+
+
 def _edited_scenario_file(tmp_path, *edits):
     """The seed-3, M=3 scenario with each (path, value) edit made, written as a file."""
     data = scen.scenario_to_dict(scen.generate_scenario(3, 3))

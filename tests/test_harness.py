@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -138,7 +139,7 @@ def test_every_slot_takes_the_answer_at_its_own_position(activator):
 def test_solve_cycle_solves_each_distinct_position_once(monkeypatch):
     s = scen.generate_scenario(3, 3)
     plan = lb.discretize(s, rp.nearest_neighbor(s))
-    distinct = len({slot.position_m for slot in plan.slots})
+    distinct = len(np.unique(plan.positions(), axis=0))
     assert distinct < plan.total_slots
     calls, rows = [], []
     real_solve, real_rows = harness.solve_slot, act.exact_rows
@@ -148,6 +149,21 @@ def test_solve_cycle_solves_each_distinct_position_once(monkeypatch):
     harness.solve_cycle(s, plan, "bnb", fast_spec())
     assert len(calls) == distinct
     assert rows == [distinct]
+
+
+@pytest.mark.parametrize("activator", harness.ACTIVATORS)
+def test_solve_cycle_builds_one_channel_block(monkeypatch, activator):
+    # solving and costing share one (S, K) block; the array baseline needs none
+    s = scen.generate_scenario(3, 3)
+    plan = lb.discretize(s, rp.nearest_neighbor(s))
+    calls, real = [], propagation.channel
+    monkeypatch.setattr(propagation, "channel", lambda *a: calls.append(1) or real(*a))
+    report = harness.solve_cycle(s, plan, activator, fast_spec())
+    assert len(calls) == (0 if activator == "mimo" else 1)
+    monkeypatch.undo()
+    if activator != "mimo":
+        rebuilt = lb.cycle_energy(s, plan, report.per_slot_activation, activator)
+        assert rebuilt.per_slot_power_w == report.per_slot_power_w
 
 
 def test_planner_dispatch_held_karp_is_shortest():
@@ -235,6 +251,23 @@ def test_sweep_keeps_every_cell_and_derives_means_and_counts_from_them():
         assert result.seed_counts[vi, si] == len(ok)
         mean = result.energies[vi, si]
         assert mean == total / len(ok) if ok else math.isnan(mean)
+
+
+@pytest.mark.parametrize("variable, value", [
+    ("pa_count", 4.5), ("node_count", 2.5), ("pa_count", "4"), ("rate_threshold", "5"),
+    ("node_count", math.inf), ("pa_count", None),
+])
+def test_sweep_rejects_a_value_its_type_would_change_before_any_cell(monkeypatch, variable, value):
+    monkeypatch.setattr(harness, "_scenario_for", lambda *a: pytest.fail("a cell ran"))
+    with pytest.raises(ValueError, match=f"^{variable} takes .* values, not {re.escape(repr(value))}$"):
+        harness.sweep(variable, [4, value], ["nearest_neighbor:full"], [1], node_count=2)
+
+
+def test_sweep_runs_an_integral_float_count_as_its_int():
+    kw = dict(strategies=["nearest_neighbor:full"], seeds=[1], node_count=2)
+    as_float = harness.sweep("pa_count", [4.0], **kw)
+    assert as_float.sweep_values == (4.0,)
+    assert np.array_equal(as_float.energies, harness.sweep("pa_count", [4], **kw).energies)
 
 
 def test_every_report_holds_one_activation_block(tmp_path):

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import walk_slot_count
+from oracles import slot_walk, walk_slot_count
 
 from pass_uav import activation
 from pass_uav import link_budget as lb
@@ -106,6 +107,45 @@ def test_slot_count_matches_walk_oracle_on_random_tours():
         order = rng.permutation(m).tolist()
         plan = lb.discretize(s, rp.make_tour(rp.distance_matrix(s), order))
         assert plan.total_slots == walk_slot_count(s, order)
+
+
+def _assert_plan_matches_slot_walk(s, order):
+    plan = lb.discretize(s, rp.make_tour(rp.distance_matrix(s), order))
+    walk = slot_walk(s, order)
+    expected = np.array([p for p, _, _ in walk], dtype=float).reshape(-1, 3)
+    assert plan.positions().tobytes() == expected.tobytes()
+    assert plan.slots.mode.tolist() == [mode for _, mode, _ in walk]
+    assert plan.slots.node_index.tolist() == [-1 if n is None else n for _, _, n in walk]
+
+
+def test_discretize_matches_the_slot_walk_oracle_on_random_tours():
+    rng = np.random.default_rng(23)
+    for m in range(1, 13):
+        for tau in (0.25, 1.0, 1.7):
+            base = scen.generate_scenario(int(rng.integers(0, 10_000)), m)
+            s = dataclasses.replace(base, slot_seconds=tau)
+            _assert_plan_matches_slot_walk(s, rng.permutation(m).tolist())
+
+
+def test_discretize_matches_the_slot_walk_oracle_on_edge_legs():
+    # a 10 m leg is exactly two 5 m steps; two nodes at one point make a zero-length leg
+    _assert_plan_matches_slot_walk(_single_node_scenario((10.0, 0.0, 0.0)), [0])
+    _assert_plan_matches_slot_walk(_single_node_scenario((0.0, 0.0, 0.0)), [0])
+    base = _single_node_scenario((12.0, 3.0, 4.0))
+    twin = dataclasses.replace(base, nodes=base.nodes * 2)
+    _assert_plan_matches_slot_walk(twin, [1, 0])
+    plan = lb.discretize(twin, rp.make_tour(rp.distance_matrix(twin), [1, 0]))
+    assert plan.slots.node_index.tolist().count(0) == plan.slots.node_index.tolist().count(1) == 10
+
+
+def test_plan_columns_are_views_of_one_record_block():
+    s = scen.generate_scenario(1, 10)
+    plan = lb.discretize(s, rp.nearest_neighbor(s))
+    assert plan.positions().shape == (plan.total_slots, 3)
+    assert np.shares_memory(plan.positions(), plan.slots)
+    flying = plan.flying_indices()
+    assert flying.dtype.kind == "i"
+    assert flying.tolist() == [i for i, m in enumerate(plan.slots.mode) if m == lb.FLYING]
 
 
 def test_cycle_energy_constant_position():
