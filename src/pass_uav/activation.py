@@ -386,8 +386,7 @@ def exact_rows(channel, response, delta: float, rho: float) -> np.ndarray:
 
 def _bits(members, k: int) -> np.ndarray:
     bits = np.zeros(k, dtype=np.int8)
-    for i in members:
-        bits[i] = 1
+    bits[list(members)] = 1
     return bits
 
 
@@ -412,17 +411,12 @@ def islr_optimize(problem: ActivationProblem, high_count: Optional[int] = None) 
         raise ValueError("high_count must lie in [1, K]")
     mags = np.abs(problem.phasors)
     ranked = [int(i) for i in np.argsort(-mags, kind="stable")]
-    best_obj, best_bits = -math.inf, _bits((), k)
-    scores: dict[frozenset, float] = {}
+    scores: dict[frozenset, float] = {}  # every set scored, in scoring order
 
     def score(members) -> float:
-        nonlocal best_obj, best_bits
         key = frozenset(members)
         if key not in scores:
-            bits = _bits(members, k)
-            scores[key] = problem.objective(bits)
-            if scores[key] > best_obj:
-                best_obj, best_bits = scores[key], bits
+            scores[key] = problem.objective(_bits(members, k))
         return scores[key]
 
     def climb(members, obj, candidates):
@@ -458,4 +452,4 @@ def islr_optimize(problem: ActivationProblem, high_count: Optional[int] = None) 
         if not (dropped or added):
             break
 
-    return best_bits
+    return _bits(max(scores, key=scores.get), k)

@@ -54,11 +54,13 @@ def _load_scenario(args) -> scen.Scenario:
 
 
 def _out_path(raw: str) -> Path:
-    """The --out path, which must be a directory or absent; nothing is created."""
+    """The --out path, which must be a directory or absent below a directory;
+    nothing is created."""
     out = Path(raw)
-    if out.exists() and not out.is_dir():
-        raise scen.ScenarioError(
-            f"cannot create --out directory {out}: {os.strerror(errno.EEXIST)}")
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():
+        code = errno.EEXIST if nearest == out else errno.ENOTDIR  # as mkdir would say
+        raise scen.ScenarioError(f"cannot create --out directory {out}: {os.strerror(code)}")
     return out
 
 
@@ -71,7 +73,20 @@ def _out_dir(out: Path) -> Path:
     return out
 
 
-def _spec_from(args, islr_high_count=None) -> harness.StrategySpec:
+def _islr_kprime(args, scenario: scen.Scenario, activator: str):
+    """The --islr-kprime value, checked against the scenario before any work."""
+    if args.islr_kprime is None:
+        return None
+    if activator != "islr":
+        raise scen.ScenarioError(f"--islr-kprime applies to the islr activator only, not {activator}")
+    k = scenario.waveguide.pa_count
+    if not 1 <= args.islr_kprime <= k:
+        raise scen.ScenarioError(
+            f"--islr-kprime must lie in [1, {k}], this scenario's coupler count range")
+    return args.islr_kprime
+
+
+def _spec_from(args, scenario=None) -> harness.StrategySpec:
     planner, activator = harness._parse_strategy(args.strategy)
     ga = route_planner.GaConfig(
         population_size=args.population,
@@ -89,7 +104,7 @@ def _spec_from(args, islr_high_count=None) -> harness.StrategySpec:
         activator=activator,
         ga=ga,
         hao=hao,
-        islr_high_count=islr_high_count,
+        islr_high_count=None if scenario is None else _islr_kprime(args, scenario, activator),
     )
 
 
@@ -123,6 +138,8 @@ def cmd_plan(args) -> int:
 
 def cmd_activate(args) -> int:
     scenario = _load_scenario(args)
+    spec = harness.StrategySpec(activator=args.activator,
+                                islr_high_count=_islr_kprime(args, scenario, args.activator))
     if (args.position is None) == (args.slot is None):
         raise scen.ScenarioError("give exactly one of --position or --slot")
     if args.position is not None:
@@ -134,8 +151,7 @@ def cmd_activate(args) -> int:
                 f"--position coordinates must be finite and within ±{scen.MAX_COORDINATE_M:g} m"
             )
     else:
-        spec = harness.StrategySpec(planner=args.planner)
-        tour, _ = harness.plan_tour(scenario, spec)
+        tour, _ = harness.plan_tour(scenario, harness.StrategySpec(planner=args.planner))
         plan = lb.discretize(scenario, tour)
         if not 0 <= args.slot < plan.total_slots:
             raise scen.ScenarioError(
@@ -144,32 +160,27 @@ def cmd_activate(args) -> int:
         position = plan.positions()[args.slot]
         print(f"slot {args.slot} ({plan.slots.mode[args.slot]}) at "
               f"({position[0]:.3f}, {position[1]:.3f}, {position[2]:.3f})")
-    problem = act.ActivationProblem.from_scenario(scenario, position)
-    spec = harness.StrategySpec(activator=args.activator, islr_high_count=args.islr_kprime)
     if args.activator == "mimo":
-        power = harness.mimo_required_power(scenario, spec.mimo, position)
+        gain = harness.mimo_gains(scenario, spec.mimo, [position])[0]
         print(f"strategy: mimo (elements={spec.mimo.element_count})")
-        if not np.isfinite(power):  # the array's gain is always positive
-            raise lb.InfeasibleSlotError("the array needs more transmit power than a float holds")
     else:
+        problem = act.ActivationProblem.from_scenario(scenario, position)
         bits = harness.solve_slot(problem, args.activator, spec)
         gain = problem.gain(bits)
-        power = lb.required_power(
-            gain, scenario.physics.rate_threshold_bps_hz, scenario.physics.noise_power_w
-        )
         print(f"strategy: {args.activator}")
         print(f"activation: {''.join(str(int(b)) for b in bits)}")
         print(f"K_a: {int(np.sum(bits))}")
         print(f"gain: {gain:.6e}")
-        if not np.isfinite(power):
-            raise lb.infeasible("the requested position", gain)
+    power = lb.required_power(gain, scenario.physics.rate_threshold_bps_hz, scenario.physics.noise_power_w)
+    if not np.isfinite(power):
+        raise lb.infeasible("the requested position", gain)
     print(f"required power: {power:.6e} W ({scen.watts_to_dbm(power):.2f} dBm)")
     return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
     scenario = _load_scenario(args)
-    spec = _spec_from(args, args.islr_kprime)
+    spec = _spec_from(args, scenario)
     out = _out_path(args.out)
     output = harness.run_dlo(scenario, spec)
     _out_dir(out)

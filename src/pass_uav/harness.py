@@ -74,23 +74,24 @@ class DloOutput:
         return self.reports[0].total_energy_j
 
 
-def mimo_required_power(scenario: scen.Scenario, mimo: MimoConfig, uav_position_m):
-    """Transmit power of the array baseline under maximum-ratio transmission:
-    a float at one position, a list for each row of an (S, 3) block.
-
-    Per-element free-space channels combine coherently, so the received gain
-    is sum_n |h_n|^2.
-    """
+def mimo_gains(scenario: scen.Scenario, mimo: MimoConfig, positions) -> list[float]:
+    """Received gain sum_n |h_n|^2 of the array baseline under maximum-ratio
+    transmission at each row of an (S, 3) position block: per-element
+    free-space channels combine coherently."""
     phys = scenario.physics
     elements = mimo.element_positions(phys.wavelength_m)
-    d = np.linalg.norm(elements - np.asarray(uav_position_m, dtype=float)[..., None, :], axis=-1)
+    d = np.linalg.norm(elements - np.asarray(positions, dtype=float)[:, None, :], axis=-1)
     if np.any(d < propagation.MIN_DISTANCE_M):
         raise propagation.DegenerateGeometryError("UAV on top of an array element")
     eta = phys.wavelength_m**2 / (16.0 * math.pi**2)
-    gains = np.sum(eta / (d * d), axis=-1)
-    powers = [lb.required_power(float(g), phys.rate_threshold_bps_hz, phys.noise_power_w)
-              for g in np.atleast_1d(gains)]
-    return powers if gains.ndim else powers[0]
+    return np.sum(eta / (d * d), axis=-1).tolist()
+
+
+def mimo_required_power(scenario: scen.Scenario, mimo: MimoConfig, uav_position_m) -> float:
+    """Transmit power of the array baseline at one position."""
+    phys = scenario.physics
+    gain = mimo_gains(scenario, mimo, [uav_position_m])[0]
+    return lb.required_power(gain, phys.rate_threshold_bps_hz, phys.noise_power_w)
 
 
 def plan_tour(
@@ -117,7 +118,7 @@ def plan_tour(
 
 def solve_slot(problem: act.ActivationProblem, activator: str, spec: StrategySpec) -> np.ndarray:
     if activator == "bnb":
-        return act.bnb_optimize(problem)
+        return act.exact_rows(problem.channel[None], problem.response, problem.delta, problem.rho)[0]
     if activator == "islr":
         return act.islr_optimize(problem, spec.islr_high_count)
     if activator == "exhaustive":
@@ -138,13 +139,12 @@ def solve_cycle(
     A slot's activation depends only on its position, so each distinct
     position is solved once (by the exact activator all at once) and every
     slot at it takes that answer; the same block then costs the cycle. The
-    array baseline has no activation vector and is costed per position.
+    array baseline has no activation vector; its gains are costed by the
+    same rule.
     """
     if activator == "mimo":
-        powers = tuple(mimo_required_power(scenario, spec.mimo, plan.positions()))
-        return lb.EnergyReport(strategy_name="mimo", per_slot_power_w=powers,
-                               total_energy_j=lb.cycle_total(powers, plan.slot_seconds),
-                               per_slot_activation=np.zeros((0, 0), dtype=np.int8))
+        gains = mimo_gains(scenario, spec.mimo, plan.positions())
+        return lb.gain_report(scenario, plan, "mimo", gains, np.zeros((0, 0), dtype=np.int8))
     channels = propagation.channel(scenario, plan.positions())
     _, first, where = np.unique(plan.positions(), axis=0, return_index=True, return_inverse=True)
     response, delta, rho = act.link_constants(scenario)
@@ -239,9 +239,10 @@ def sweep(
 
     Bad inputs raise ValueError before any cell runs, among them a value that
     its variable's SWEEP_VARIABLES type would change (4.5 for pa_count).
-    Strategies sharing a planner reuse its tour and slot plan within a
-    (value, seed) cell. A cell that fails (e.g. an infeasible slot) is
-    recorded and left NaN.
+    Each (planner, seed, node count) is planned once for the whole sweep: the
+    rate threshold and the coupler count leave a seed's nodes and GA stream
+    as they are, so every value shares its tour and slot plan. A cell that
+    fails (e.g. an infeasible slot) is recorded and left NaN.
     """
     if variable not in SWEEP_VARIABLES:
         raise ValueError(f"unknown sweep variable '{variable}'")
@@ -260,15 +261,15 @@ def sweep(
     specs = [dataclasses.replace(base, planner=planner, activator=activator)
              for planner, activator in map(_parse_strategy, strategies)]
     cells = np.full((len(values), len(seeds), len(strategies)), np.nan)
-    failures = []
+    failures, plans = [], {}
     for (vi, value), (ni, seed) in itertools.product(enumerate(values), enumerate(seeds)):
         scenario = _scenario_for(variable, value, seed, node_count)
-        plans: dict[str, lb.SlotPlan] = {}
         for si, (spec, strategy) in enumerate(zip(specs, strategies)):
+            key = (spec.planner, seed, len(scenario.nodes))
             try:
-                if spec.planner not in plans:
-                    plans[spec.planner] = lb.discretize(scenario, plan_tour(scenario, spec)[0])
-                report = solve_cycle(scenario, plans[spec.planner], spec.activator, spec)
+                if key not in plans:
+                    plans[key] = lb.discretize(scenario, plan_tour(scenario, spec)[0])
+                report = solve_cycle(scenario, plans[key], spec.activator, spec)
                 cells[vi, ni, si] = report.total_energy_j
             except (lb.InfeasibleSlotError, ValueError) as exc:
                 failures.append((value, strategy, seed, str(exc)))

@@ -147,17 +147,6 @@ class EnergyReport:
     per_slot_activation: np.ndarray  # (S, K) int8, one row per slot; (0, 0) when there are none
 
 
-def cycle_total(powers: Sequence[float], slot_seconds: float) -> float:
-    """Cycle energy sum(P_l * tau); InfeasibleSlotError when it is not a finite float."""
-    try:
-        total = math.fsum(p * slot_seconds for p in powers)
-    except OverflowError:  # finite terms whose sum leaves the float range
-        total = math.inf
-    if not math.isfinite(total):
-        raise InfeasibleSlotError("the cycle energy overflows a float")
-    return total
-
-
 def cycle_energy(
     scenario: Scenario,
     plan: SlotPlan,
@@ -165,28 +154,40 @@ def cycle_energy(
     strategy_name: str = "custom",
     *, channels: np.ndarray | None = None,
 ) -> EnergyReport:
-    """Per-slot minimum power, costed on one channel block, and the cycle total.
-
-    ``channels`` is the plan's (S, K) channel block; it is built when omitted.
-    Raises InfeasibleSlotError for the first slot that needs infinite power,
-    and says whether its activation has zero gain or the power overflows a
-    float; such a slot is a configuration error, not an infinite-energy result.
-    """
+    """The cycle under one activation per slot: gains on the plan's (S, K)
+    ``channels`` block (built when omitted), costed by `gain_report`."""
     activations = propagation.as_activation(activation_per_slot)
     if len(activations) != plan.total_slots:
         raise ValueError(f"need one activation per slot ({len(activations)} != {plan.total_slots})")
-    phys = scenario.physics
     channels = propagation.channel(scenario, plan.positions()) if channels is None else channels
     activations = activations.reshape(channels.shape)
     response, delta, _ = link_constants(scenario)
     gains = combined_gains(channels, response, activations, delta)
+    return gain_report(scenario, plan, strategy_name, gains, activations)
+
+
+def gain_report(scenario: Scenario, plan: SlotPlan, strategy_name: str,
+                gains: Sequence[float], activations: np.ndarray) -> EnergyReport:
+    """Each slot's minimum power for its combined gain, and the cycle energy
+    sum(P_l * tau): the one costing rule of every activator and the array.
+
+    Raises InfeasibleSlotError for the first slot that needs infinite power,
+    saying whether its gain is zero or its power overflows a float, and when
+    the cycle energy is not a finite float.
+    """
+    phys = scenario.physics
     powers = [required_power(g, phys.rate_threshold_bps_hz, phys.noise_power_w) for g in gains]
     for idx, p in enumerate(powers):
         if not math.isfinite(p):
             raise infeasible(f"slot {idx}", gains[idx])
+    try:
+        total = math.fsum(p * plan.slot_seconds for p in powers)
+    except OverflowError:  # finite terms whose sum leaves the float range
+        total = math.inf
+    if not math.isfinite(total):
+        raise InfeasibleSlotError("the cycle energy overflows a float")
     return EnergyReport(strategy_name=strategy_name, per_slot_power_w=tuple(powers),
-                        total_energy_j=cycle_total(powers, plan.slot_seconds),
-                        per_slot_activation=activations)
+                        total_energy_j=total, per_slot_activation=activations)
 
 
 def _fmt(x) -> str:

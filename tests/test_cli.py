@@ -50,6 +50,39 @@ def test_activate_mimo(capsys):
     assert "mimo" in capsys.readouterr().out
 
 
+def test_activate_mimo_at_a_coupler_prints_the_array_power(capsys):
+    # the array has no coupler, so a UAV on one is an ordinary array position
+    s = scen.generate_scenario(1, 10)
+    coupler = s.waveguide.pa_positions()[0]
+    rc = cli.main(["activate", "--seed", "1", "--position", ",".join(map(repr, coupler.tolist())),
+                   "--activator", "mimo"])
+    assert rc == cli.EXIT_OK
+    power = harness.mimo_required_power(s, harness.MimoConfig(), coupler)
+    assert f"required power: {power:.6e} W" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("activator", harness.ACTIVATORS)
+def test_activate_prints_the_answer_simulate_costs(tmp_path, capsys, activator):
+    argv = ["--seed", "3", "--nodes", "3"]
+    rc = cli.main(["simulate", *argv, "--strategy", f"nearest_neighbor:{activator}",
+                   "--out", str(tmp_path)])
+    assert rc == cli.EXIT_OK
+    report = json.loads((tmp_path / "energy.json").read_text())[0]
+    modes = [line.split(",")[1] for line in (tmp_path / "slots.csv").read_text().splitlines()[1:]]
+    flying, hovering = modes.index(lb.FLYING) + 1, modes.index(lb.HOVERING)
+    capsys.readouterr()
+    for slot in (0, flying, hovering, len(modes) - 1):
+        rc = cli.main(["activate", *argv, "--slot", str(slot), "--planner", "nearest_neighbor",
+                       "--activator", activator])
+        assert rc == cli.EXIT_OK
+        out = capsys.readouterr().out
+        assert f"({modes[slot]})" in out
+        assert f"required power: {report['per_slot_power_w'][slot]:.6e} W" in out
+        if activator != "mimo":
+            bits = "".join(map(str, report["per_slot_activation"][slot]))
+            assert f"activation: {bits}\n" in out
+
+
 def test_activate_by_slot_index(capsys):
     rc = cli.main(
         ["activate", "--seed", "3", "--nodes", "2", "--slot", "0",
@@ -340,6 +373,54 @@ def test_an_out_file_fails_before_any_work(tmp_path, capsys, monkeypatch, comman
     assert taken.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize("command, extra, work", [
+    ("plan", FAST, "plan_tour"), ("simulate", FAST, "run_dlo"), ("benchmark", _SWEEP, "sweep"),
+])
+def test_an_out_below_a_file_fails_before_any_work(tmp_path, capsys, monkeypatch, command, extra, work):
+    for name in ("plan_tour", "run_dlo", "sweep"):
+        monkeypatch.setattr(harness, name, lambda *a, name=name, **k: pytest.fail(f"{name} ran"))
+    taken = tmp_path / "taken"
+    taken.write_text("not a directory\n")
+    out = taken / "sub" / "deeper"
+    rc = cli.main([command, *extra, "--nodes", "2", "--out", str(out)])
+    assert rc == cli.EXIT_CONFIG
+    assert f"--out directory {out}: Not a directory" in capsys.readouterr().err
+    assert taken.read_text() == "not a directory\n"
+    assert sorted(tmp_path.iterdir()) == [taken]
+
+
+@pytest.mark.parametrize("argv, cause", [
+    pytest.param(["simulate", "--strategy", "hao:islr", "--islr-kprime", "0"],
+                 "--islr-kprime must lie in [1, 10]", id="simulate-zero"),
+    pytest.param(["simulate", "--strategy", "hao:islr", "--islr-kprime", "11"],
+                 "--islr-kprime must lie in [1, 10]", id="simulate-above-K"),
+    pytest.param(["simulate", "--strategy", "hao:islr", "--pa-count", "4", "--islr-kprime", "5"],
+                 "--islr-kprime must lie in [1, 4]", id="simulate-above-pa-count"),
+    pytest.param(["simulate", "--strategy", "hao:bnb", "--islr-kprime", "0"],
+                 "islr activator only, not bnb", id="simulate-bnb"),
+    pytest.param(["simulate", "--strategy", "hao:full", "--islr-kprime", "3"],
+                 "islr activator only, not full", id="simulate-full"),
+    pytest.param(["activate", "--slot", "5", "--activator", "islr", "--islr-kprime", "11"],
+                 "--islr-kprime must lie in [1, 10]", id="activate-above-K"),
+    pytest.param(["activate", "--slot", "5", "--activator", "bnb", "--islr-kprime", "3"],
+                 "islr activator only, not bnb", id="activate-bnb"),
+])
+def test_a_bad_islr_kprime_fails_before_any_planning(tmp_path, capsys, monkeypatch, argv, cause):
+    monkeypatch.setattr(harness, "plan_tour", lambda *a, **k: pytest.fail("plan_tour ran"))
+    out = ["--out", str(tmp_path / "sim")] if argv[0] == "simulate" else []
+    rc = cli.main([*argv, "--seed", "1", *out])
+    assert rc == cli.EXIT_CONFIG
+    assert cause in capsys.readouterr().err
+    assert not (tmp_path / "sim").exists()
+
+
+def test_islr_kprime_at_the_coupler_count_runs(capsys):
+    rc = cli.main(["activate", "--seed", "1", "--pa-count", "4", "--position", "45,5,5",
+                   "--activator", "islr", "--islr-kprime", "4"])
+    assert rc == cli.EXIT_OK
+    assert "activation:" in capsys.readouterr().out
+
+
 def _edited_scenario_file(tmp_path, *edits):
     """The seed-3, M=3 scenario with each (path, value) edit made, written as a file."""
     data = scen.scenario_to_dict(scen.generate_scenario(3, 3))
@@ -465,6 +546,18 @@ def test_power_overflow_is_not_reported_as_zero_gain(tmp_path, capsys, strategy,
     err = capsys.readouterr().err
     assert message in err
     assert "zero gain" not in err
+
+
+def test_a_mimo_slot_whose_power_overflows_is_named(tmp_path, capsys):
+    # at 3050 dBm every slot's array power overflows; at 3000 dBm only the sum does
+    data = scen.scenario_to_dict(scen.generate_scenario(3, 3))
+    data["physics"]["noise_power_dbm"] = 3050.0
+    scenario_file = tmp_path / "scenario.json"
+    scenario_file.write_text(json.dumps(data))
+    rc = cli.main(["simulate", "--scenario", str(scenario_file), "--strategy",
+                   "nearest_neighbor:mimo", "--out", str(tmp_path / "sim")])
+    assert rc == cli.EXIT_INFEASIBLE
+    assert "slot 0 needs more transmit power than a float holds" in capsys.readouterr().err
 
 
 def test_infeasible_slot_exit_code(monkeypatch, tmp_path):

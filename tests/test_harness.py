@@ -253,6 +253,28 @@ def test_sweep_keeps_every_cell_and_derives_means_and_counts_from_them():
         assert mean == total / len(ok) if ok else math.isnan(mean)
 
 
+@pytest.mark.parametrize("variable, values, plans", [
+    ("rate_threshold", [3.0, 4.0, 5.0], 2 * 2),  # seeds x planners
+    ("pa_count", [4, 10], 2 * 2),
+    ("node_count", [3, 4], 2 * 2 * 2),  # values x seeds x planners
+])
+def test_sweep_plans_each_route_once(monkeypatch, variable, values, plans):
+    strategies = ["nearest_neighbor:full", "hao:islr", "hao:mimo"]
+    calls, real = [], harness.plan_tour
+    monkeypatch.setattr(harness, "plan_tour", lambda *a: calls.append(1) or real(*a))
+    result = harness.sweep(variable, values, strategies, [1, 2], node_count=3, base_spec=fast_spec())
+    assert len(calls) == plans
+    monkeypatch.undo()
+    for (vi, value), (ni, seed), (si, name) in itertools.product(
+        enumerate(values), enumerate([1, 2]), enumerate(strategies)
+    ):
+        s = harness._scenario_for(variable, value, seed, 3)
+        planner, activator = name.split(":")
+        spec = fast_spec(planner=planner, activator=activator)
+        plan = lb.discretize(s, harness.plan_tour(s, spec)[0])
+        assert result.cycle_energies[vi, ni, si] == harness.solve_cycle(s, plan, activator, spec).total_energy_j
+
+
 @pytest.mark.parametrize("variable, value", [
     ("pa_count", 4.5), ("node_count", 2.5), ("pa_count", "4"), ("rate_threshold", "5"),
     ("node_count", math.inf), ("pa_count", None),

@@ -221,6 +221,23 @@ def test_infeasible_slots_name_the_first_one():
         lb.cycle_energy(s, plan, acts)
 
 
+def test_gain_report_names_the_first_infinite_slot_then_checks_the_sum():
+    # the one costing rule of the activators and the array: a slot whose power
+    # overflows is named first; finite powers whose sum overflows come next
+    s = scen.generate_scenario(4, 2)
+    plan = lb.discretize(s, rp.make_tour(rp.distance_matrix(s), [0, 1]))
+    phys = s.physics
+    near_max = (2.0**phys.rate_threshold_bps_hz - 1.0) * phys.noise_power_w / 1e308  # P ~ 1e308 W
+    gains = [near_max] * plan.total_slots
+    none = np.zeros((0, 0), dtype=np.int8)
+    with pytest.raises(lb.InfeasibleSlotError, match="^the cycle energy overflows a float$"):
+        lb.gain_report(s, plan, "array", gains, none)
+    gains[2], gains[4] = near_max / 10.0, 0.0
+    with pytest.raises(lb.InfeasibleSlotError,
+                       match="^slot 2 needs more transmit power than a float holds"):
+        lb.gain_report(s, plan, "array", gains, none)
+
+
 def test_realized_rate_meets_threshold():
     s = scen.generate_scenario(4, 2)
     plan = lb.discretize(s, rp.make_tour(rp.distance_matrix(s), [0, 1]))
