@@ -76,6 +76,9 @@ _ORIENT_TINY = 1e-290
 _BATCH_REL_TOL = 1e-12
 # `exact_rows` keys an activation by an int64 bitmask.
 _BATCH_MAX_K = 62
+# `islr_rows` runs at most this many slot searches at once; each holds a
+# coroutine and its scored sets, a few KB.
+_ISLR_BLOCK_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -390,6 +393,58 @@ def _bits(members, k: int) -> np.ndarray:
     return bits
 
 
+def _islr_search(mags: np.ndarray, delta: float, high_count: int):
+    """The ISLR walk of one slot as a coroutine: it yields the bitmap of each
+    set it scores, takes that set's objective back through ``send``, and
+    returns the bitmap of the best set scored (see `islr_optimize`)."""
+    k = mags.size
+    ranked = [int(i) for i in np.argsort(-mags, kind="stable")]
+    scores: dict[tuple, float] = {}  # every set scored, as its sorted members, in scoring order
+
+    def score(members):
+        key = tuple(sorted(members))
+        if key not in scores:
+            scores[key] = yield _bits(members, k)
+        return scores[key]
+
+    def climb(members, obj, candidates):
+        """Score the candidate sets in order while the objective strictly
+        rises; return the last rising set (``members`` if none rose), its
+        objective and how many sets rose."""
+        rose = 0
+        for candidate in candidates:
+            new = yield from score(candidate)
+            if new <= obj:
+                break
+            members, obj, rose = candidate, new, rose + 1
+        return members, obj, rose
+
+    yield from score(range(k))
+    current, obj = [], -math.inf
+    for n in range(1, high_count + 1):
+        new = yield from score(ranked[:n])
+        if new > obj:
+            current, obj = ranked[:n], new
+    pool = ranked[high_count:]
+
+    for _ in range(4 * k):
+        dropped = 0
+        if len(current) >= 2:
+            # Marginal gain of each member under the current arrangement:
+            # its own amplitude contribution, phases ignored.
+            beta = propagation.radiation_ratios(_bits(current, k), delta)
+            order = sorted(current, key=lambda p: (beta[p] * mags[p], p))
+            current, obj, dropped = yield from climb(
+                current, obj, (order[n:] for n in range(1, len(order))))
+        current, obj, added = yield from climb(
+            current, obj, (current + pool[:n] for n in range(1, len(pool) + 1)))
+        pool = pool[added:]
+        if not (dropped or added):
+            break
+
+    return _bits(max(scores, key=scores.get), k)
+
+
 def islr_optimize(problem: ActivationProblem, high_count: Optional[int] = None) -> np.ndarray:
     """Gain-ranked incremental search refined by downsizing/upsizing walks.
 
@@ -403,53 +458,41 @@ def islr_optimize(problem: ActivationProblem, high_count: Optional[int] = None) 
     that does not raise it. The best set scored anywhere is returned, the
     first one on ties; the all-on baseline is among them, so the heuristic
     never loses to plain full activation. A set met again is not re-scored.
+    The slot is solved as a one-row `islr_rows` block.
     """
-    k = problem.size
+    return islr_rows([problem.channel], problem.response, problem.delta, problem.rho, high_count)[0]
+
+
+def islr_rows(channel, response, delta: float, rho: float,
+              high_count: Optional[int] = None) -> np.ndarray:
+    """ISLR activations of an (S, K) channel block, one row per slot, as
+    (S, K) int8 bitmaps: row i is the ISLR answer for the slot with channel
+    row i and the shared response, delta and rho.
+
+    Every slot runs its own `_islr_search`, up to _ISLR_BLOCK_ROWS of them at
+    once. Each step scores the pending set of every slot still searching in
+    one `combined_gains` call on the matching channel rows, whose row sums
+    do not depend on the stacking, so each slot sees the scores, and takes
+    the walk, that it would take alone.
+    """
+    channel = np.asarray(channel, dtype=np.complex128)
+    rows, k = channel.shape
     if high_count is None:
         high_count = math.ceil(k / 2)
     if not 1 <= high_count <= k:
         raise ValueError("high_count must lie in [1, K]")
-    mags = np.abs(problem.phasors)
-    ranked = [int(i) for i in np.argsort(-mags, kind="stable")]
-    scores: dict[frozenset, float] = {}  # every set scored, in scoring order
-
-    def score(members) -> float:
-        key = frozenset(members)
-        if key not in scores:
-            scores[key] = problem.objective(_bits(members, k))
-        return scores[key]
-
-    def climb(members, obj, candidates):
-        """Score the candidate sets in order while the objective strictly
-        rises; return the last rising set (``members`` if none rose), its
-        objective and how many sets rose."""
-        rose = 0
-        for candidate in candidates:
-            new = score(candidate)
-            if new <= obj:
-                break
-            members, obj, rose = candidate, new, rose + 1
-        return members, obj, rose
-
-    score(range(k))
-    current, obj = [], -math.inf
-    for n in range(1, high_count + 1):
-        new = score(ranked[:n])
-        if new > obj:
-            current, obj = ranked[:n], new
-    pool = ranked[high_count:]
-
-    for _ in range(4 * k):
-        dropped = 0
-        if len(current) >= 2:
-            # Marginal gain of each member under the current arrangement:
-            # its own amplitude contribution, phases ignored.
-            beta = propagation.radiation_ratios(_bits(current, k), problem.delta)
-            order = sorted(current, key=lambda p: (beta[p] * mags[p], p))
-            current, obj, dropped = climb(current, obj, (order[n:] for n in range(1, len(order))))
-        current, obj, added = climb(current, obj, (current + pool[:n] for n in range(1, len(pool) + 1)))
-        pool = pool[added:]
-        if not (dropped or added):
-            break
-
-    return _bits(max(scores, key=scores.get), k)
+    out = np.empty((rows, k), dtype=np.int8)
+    for lo in range(0, rows, _ISLR_BLOCK_ROWS):
+        block = channel[lo : lo + _ISLR_BLOCK_ROWS]
+        searches = [_islr_search(mags, delta, high_count) for mags in np.abs(np.conj(block) * response)]
+        pending = {i: next(search) for i, search in enumerate(searches)}
+        while pending:
+            live = list(pending)
+            gains = combined_gains(block[live], response, np.array(list(pending.values())), delta)
+            for i, gain in zip(live, gains):
+                try:
+                    pending[i] = searches[i].send(rho * gain)
+                except StopIteration as done:
+                    out[lo + i] = done.value
+                    del pending[i]
+    return out

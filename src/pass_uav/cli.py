@@ -86,8 +86,8 @@ def _islr_kprime(args, scenario: scen.Scenario, activator: str):
     return args.islr_kprime
 
 
-def _spec_from(args, scenario=None) -> harness.StrategySpec:
-    planner, activator = harness._parse_strategy(args.strategy)
+def _planner_configs(args) -> dict:
+    """The GA and HAO settings the planner flags give, as StrategySpec fields."""
     ga = route_planner.GaConfig(
         population_size=args.population,
         selection_prob=args.ps,
@@ -99,11 +99,15 @@ def _spec_from(args, scenario=None) -> harness.StrategySpec:
     hao = route_planner.HaoConfig(
         max_iterations=args.hao_iterations, subpath_length=args.subpath
     )
+    return {"ga": ga, "hao": hao}
+
+
+def _spec_from(args, scenario=None) -> harness.StrategySpec:
+    planner, activator = harness._parse_strategy(args.strategy)
     return harness.StrategySpec(
         planner=planner,
         activator=activator,
-        ga=ga,
-        hao=hao,
+        **_planner_configs(args),
         islr_high_count=None if scenario is None else _islr_kprime(args, scenario, activator),
     )
 
@@ -138,7 +142,8 @@ def cmd_plan(args) -> int:
 
 def cmd_activate(args) -> int:
     scenario = _load_scenario(args)
-    spec = harness.StrategySpec(activator=args.activator,
+    spec = harness.StrategySpec(planner=args.planner, activator=args.activator,
+                                **_planner_configs(args),
                                 islr_high_count=_islr_kprime(args, scenario, args.activator))
     if (args.position is None) == (args.slot is None):
         raise scen.ScenarioError("give exactly one of --position or --slot")
@@ -151,7 +156,7 @@ def cmd_activate(args) -> int:
                 f"--position coordinates must be finite and within ±{scen.MAX_COORDINATE_M:g} m"
             )
     else:
-        tour, _ = harness.plan_tour(scenario, harness.StrategySpec(planner=args.planner))
+        tour, _ = harness.plan_tour(scenario, spec)
         plan = lb.discretize(scenario, tour)
         if not 0 <= args.slot < plan.total_slots:
             raise scen.ScenarioError(
@@ -204,10 +209,19 @@ def cmd_simulate(args) -> int:
 
 
 def _parse_seeds(raw: str) -> list[int]:
-    if "-" in raw and "," not in raw:
-        lo, hi = raw.split("-", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(v) for v in raw.split(",") if v]
+    """The --seeds value: a range lo-hi or a comma list, of non-negative seeds."""
+    try:
+        if "-" in raw and "," not in raw:
+            lo, hi = raw.split("-", 1)
+            seeds = list(range(int(lo), int(hi) + 1))
+        else:
+            seeds = [int(v) for v in raw.split(",") if v]
+    except ValueError:
+        seeds = None
+    if seeds is None or min(seeds, default=0) < 0:
+        raise scen.ScenarioError(
+            f"--seeds must be a range lo-hi or a comma list of non-negative integers, not {raw!r}")
+    return seeds
 
 
 def cmd_benchmark(args) -> int:
@@ -240,6 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_act = sub.add_parser("activate", help="optimize activation at one position")
     _add_scenario_args(p_act)
+    _add_planner_args(p_act)
     p_act.add_argument("--position", help="UAV position x,y,z in meters")
     p_act.add_argument("--slot", type=int, default=None,
                        help="slot index of the planned cycle instead of --position")

@@ -137,10 +137,10 @@ def solve_cycle(
     """Per-slot optimization over one flight cycle, on one channel block.
 
     A slot's activation depends only on its position, so each distinct
-    position is solved once (by the exact activator all at once) and every
-    slot at it takes that answer; the same block then costs the cycle. The
-    array baseline has no activation vector; its gains are costed by the
-    same rule.
+    position is solved once (by the exact activator and by ISLR as one
+    block) and every slot at it takes that answer; the same block then
+    costs the cycle. The array baseline has no activation vector; its gains
+    are costed by the same rule.
     """
     if activator == "mimo":
         gains = mimo_gains(scenario, spec.mimo, plan.positions())
@@ -150,6 +150,8 @@ def solve_cycle(
     response, delta, rho = act.link_constants(scenario)
     if activator == "bnb":
         rows = act.exact_rows(channels[first], response, delta, rho)
+    elif activator == "islr":
+        rows = act.islr_rows(channels[first], response, delta, rho, spec.islr_high_count)
     else:
         rows = np.array([solve_slot(act.ActivationProblem(h, response, delta, rho), activator, spec)
                          for h in channels[first]])

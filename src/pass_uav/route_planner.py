@@ -82,7 +82,9 @@ def _orders_distance(orders: np.ndarray, dist: np.ndarray) -> np.ndarray:
     size = dist.shape[0]
     total = dist[-1].take(orders[:, 0]) + dist[:, -1].take(orders[:, -1])
     if orders.shape[1] > 1:
-        total += dist.ravel()[orders[:, :-1] * size + orders[:, 1:]].sum(axis=1)
+        edges = orders[:, :-1] * size
+        edges += orders[:, 1:]
+        total += dist.ravel().take(edges).sum(axis=1)
     return total
 
 
@@ -94,17 +96,26 @@ def make_tour(dist: np.ndarray, order: Sequence[int]) -> Tour:
     return Tour(order=tuple(arr.tolist()), total_distance_m=_orders_distance(arr[None, :], dist)[0])
 
 
-def _crossover_rows(p1: np.ndarray, p2: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _ox_scratch(k: int, m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The column index, the row offsets and a clear taken mask of a (k, M) crossover."""
+    return np.arange(m), np.arange(0, k * m, m)[:, None], np.zeros(k * m, dtype=bool)
+
+
+def _crossover_rows(p1: np.ndarray, p2: np.ndarray, a: np.ndarray, b: np.ndarray,
+                    scratch: Optional[tuple] = None) -> np.ndarray:
     """Row-wise OX of (k, M) parents, row i keeping p1's columns a[i]..b[i]
     (either end first). Each row's free columns take, in order, p2's genes
-    outside p1's segment, gene g of row r marked taken at r * M + g."""
+    outside p1's segment, gene g of row r marked taken at r * M + g. A
+    caller that crosses (k, M) blocks repeatedly passes one `_ox_scratch`,
+    whose mask is left clear."""
     k, m = p1.shape
-    cols, off = np.arange(m), np.arange(0, k * m, m)[:, None]
+    cols, off, taken = scratch or _ox_scratch(k, m)
     seg = (cols >= np.minimum(a, b)[:, None]) & (cols <= np.maximum(a, b)[:, None])
-    taken = np.zeros(k * m, dtype=bool)
-    taken[(off + p1)[seg]] = True
+    marks = (off + p1)[seg]
+    taken[marks] = True
     child = p1.copy()
     child[~seg] = p2[~taken[off + p2]]
+    taken[marks] = False
     return child
 
 
@@ -226,7 +237,7 @@ def ga_explore(
     the rest of the population is resampled randomly. The final population's
     best N/10 tours are returned, fittest first. A generation draws the random
     stream of a child-by-child loop (`_roulette` replays ``rng.choice``) in a
-    few calls on flattened rows, into a pool buffer made before the first one.
+    few calls on flattened rows, into one work buffer made before the first one.
     """
     m = dist.shape[0] - 1
     seeds = [np.asarray(t.order, dtype=int) for t in seed_population] if seed_population else None
@@ -244,34 +255,39 @@ def ga_explore(
     # one row per child: its elite parent, then both segment ends, drawn in
     # row-major order as by one rng.integers call each
     bounds = np.tile([elite_count, m, m], (n_cross, 1))
-    pool = np.empty((keep + n_cross + n_mut, m), dtype=population.dtype)
-    pool_costs = np.empty(pool.shape[0])
-    n_survive = min(n // 2, pool.shape[0])
+    scratch = _ox_scratch(n_cross, m)
+    # [selected | children | mutants | refill]: survivor ranking draws nothing,
+    # so the refill is drawn right after the mutants and every new row is
+    # costed in one pass (a row's cost is independent of its batch)
+    fresh = keep + n_cross + n_mut
+    n_survive = min(n // 2, fresh)
+    work = np.empty((fresh + n - n_survive, m), dtype=population.dtype)
+    work_costs = np.empty(work.shape[0])
     refill_base = np.tile(np.arange(m), (n - n_survive, 1))
 
     for _ in range(cfg.generations):
         selected = np.sort(_roulette(rng, fit / fit.sum(), keep))
-        population.take(selected, axis=0, out=pool[:keep])
-        costs.take(selected, out=pool_costs[:keep])
+        population.take(selected, axis=0, out=work[:keep])
+        costs.take(selected, out=work_costs[:keep])
         if n_cross:
             partners = rng.choice(keep, size=n_cross, replace=False)
             draws = rng.integers(bounds)
             elites = _top_indices(fit[selected], elite_count)
-            pool[keep : keep + n_cross] = _crossover_rows(
-                pool[elites[draws[:, 0]]], pool[partners], draws[:, 1], draws[:, 2]
+            work[keep : keep + n_cross] = _crossover_rows(
+                work[elites[draws[:, 0]]], work[partners], draws[:, 1], draws[:, 2], scratch
             )
         if n_mut:
             chosen = rng.choice(keep, size=n_mut, replace=False)
             ends = rng.integers(0, m, size=(n_mut, 2))
-            pool[keep + n_cross :] = _invert_rows(pool[chosen], ends[:, 0], ends[:, 1])
+            work[keep + n_cross : fresh] = _invert_rows(work[chosen], ends[:, 0], ends[:, 1])
+        rng.permuted(refill_base, axis=1, out=work[fresh:])
 
-        # a row's cost is independent of its batch: only new rows are costed
-        pool_costs[keep:] = _orders_distance(pool[keep:], dist)
-        survivors = _top_indices(1.0 / pool_costs, n_survive)
-        pool.take(survivors, axis=0, out=population[:n_survive])
-        pool_costs.take(survivors, out=costs[:n_survive])
-        rng.permuted(refill_base, axis=1, out=population[n_survive:])
-        costs[n_survive:] = _orders_distance(population[n_survive:], dist)
+        work_costs[keep:] = _orders_distance(work[keep:], dist)
+        survivors = _top_indices(1.0 / work_costs[:fresh], n_survive)
+        work.take(survivors, axis=0, out=population[:n_survive])
+        work_costs.take(survivors, out=costs[:n_survive])
+        population[n_survive:] = work[fresh:]
+        costs[n_survive:] = work_costs[fresh:]
         np.divide(1.0, costs, out=fit)
         if best_trace is not None:
             best_trace.append(float(costs.min()))
@@ -280,42 +296,93 @@ def ga_explore(
     return [make_tour(dist, row) for row in top]
 
 
-def _best_path(dist, start: int, interior: Sequence[int], end: int) -> list[int]:
-    """Shortest path start -> every interior node once -> end, by bitmask DP.
+# One DP block holds at most this many (window, mask, node) cells, a larger
+# batch going in chunks of windows. A layer step holds three arrays of
+# candidates at once (costs in, edges, sums), so it builds at most a quarter
+# as many.
+_DP_BLOCK_CELLS = 1 << 20
 
-    ``dist`` is a nested list of pairwise distances indexed by node; returns
-    the interior nodes in visit order. Ties go to the predecessor listed
-    earliest in ``interior``.
+
+def _mask_layers(n: int):
+    """The cells (mask, j), j a member of mask, of an n-node bitmask DP
+    whose masks have two or more members, as (masks, js, mask without j)
+    arrays, one popcount at a time from 2 up: a layer reads only the one
+    before it."""
+    masks = np.arange(1 << n)
+    size = sum((masks >> j) & 1 for j in range(n))
+    for count in range(2, n + 1):
+        layer = masks[size == count]
+        row, j = np.nonzero((layer[:, None] >> np.arange(n)) & 1)
+        yield layer[row], j, layer[row] ^ (1 << j)
+
+
+def _dp_block(dist: np.ndarray, starts, nodes, ends) -> np.ndarray:
+    """`_best_paths` on one block of windows, which all have n >= 2 interior nodes."""
+    w, n = nodes.shape
+    local = dist[nodes[:, :, None], nodes[:, None, :]]  # local[w, k, j]: node k -> node j
+    cost = np.full((w, 1 << n, n), np.inf)
+    parent = np.zeros((w, 1 << n, n), dtype=np.int8)
+    cost[:, 1 << np.arange(n), np.arange(n)] = dist[starts[:, None], nodes]
+    step = max(1, _DP_BLOCK_CELLS // (4 * w * n))
+    for masks, js, prevs in _mask_layers(n):
+        for lo in range(0, masks.size, step):
+            mask, j, prev = masks[lo : lo + step], js[lo : lo + step], prevs[lo : lo + step]
+            # candidate k of cell (mask, j): prev_cost[k] + local[k][j], inf unless k in prev
+            cand = cost[:, prev, :] + local[:, :, j].transpose(0, 2, 1)
+            cost[:, mask, j] = cand.min(axis=2)
+            parent[:, mask, j] = cand.argmin(axis=2)
+    rows, mask = np.arange(w), np.full(w, (1 << n) - 1)
+    last = (cost[:, -1, :] + dist[nodes, ends[:, None]]).argmin(axis=1)
+    seq = np.empty((w, n), dtype=np.intp)
+    for i in reversed(range(n)):
+        seq[:, i] = last
+        mask, last = mask ^ (1 << last), parent[rows, mask, last].astype(np.intp)
+    return nodes[rows[:, None], seq]
+
+
+def _best_paths(dist: np.ndarray, starts, nodes, ends) -> np.ndarray:
+    """Shortest paths start -> every interior node once -> end of a batch of
+    windows, by one bitmask DP: (W,) starts and ends and (W, n) interior
+    nodes give the (W, n) interiors in visit order.
+
+    Cell (mask, j) is the cheapest path from the start through the interior
+    nodes in mask that ends at node j. It takes prev_cost[k] + local[k][j]
+    at the first k, in interior order, that minimizes it, and a path ends at
+    the first j that minimizes its cost plus dist[j][end].
     """
-    n = len(interior)
+    w, n = nodes.shape
     if n <= 1:
-        return list(interior)
-    local = [[dist[i][j] for j in interior] for i in interior]
-    cost = [[math.inf] * n for _ in range(1 << n)]
-    parent = [[-1] * n for _ in range(1 << n)]
-    for j, node in enumerate(interior):
-        cost[1 << j][j] = dist[start][node]
-    for mask in range(1, 1 << n):
-        if not mask & (mask - 1):
-            continue
-        members = [j for j in range(n) if mask >> j & 1]
-        for j in members:
-            prev_cost = cost[mask ^ (1 << j)]
-            best, arg = math.inf, -1
-            for k in members:
-                if k != j:
-                    c = prev_cost[k] + local[k][j]
-                    if c < best:
-                        best, arg = c, k
-            cost[mask][j] = best
-            parent[mask][j] = arg
-    mask = (1 << n) - 1
-    last = min(range(n), key=lambda j: (cost[mask][j] + dist[interior[j]][end], j))
-    seq = []
-    while last >= 0:
-        seq.append(interior[last])
-        mask, last = mask ^ (1 << last), parent[mask][last]
-    return seq[::-1]
+        return nodes.copy()
+    chunk = max(1, _DP_BLOCK_CELLS // (n << n))
+    return np.concatenate([
+        _dp_block(dist, starts[lo : lo + chunk], nodes[lo : lo + chunk], ends[lo : lo + chunk])
+        for lo in range(0, w, chunk)
+    ])
+
+
+def _refine_tours(dist: np.ndarray, tours: Sequence[Tour], subpath_length: int) -> list[Tour]:
+    """`dp_refine` of each tour, all in one block: the windows of every tour
+    that hold the same number of interior nodes are solved in one
+    `_best_paths` call."""
+    c, m = len(tours), dist.shape[0] - 1
+    path = np.empty((c, m + 2), dtype=np.intp)
+    path[:, [0, -1]] = m
+    path[:, 1:-1] = [t.order for t in tours]
+    # Window endpoints: every a-th point of the closed path, then the final station.
+    cuts = [*range(0, m + 1, subpath_length), m + 1]
+    sizes: dict[int, list[int]] = {}
+    for lo, hi in zip(cuts, cuts[1:]):
+        sizes.setdefault(hi - lo - 1, []).append(lo)
+    for n, los in sizes.items():
+        if n >= 2:
+            lo = np.array(los)[:, None]
+            cols = lo + np.arange(1, n + 1)
+            best = _best_paths(dist, path[:, lo].ravel(), path[:, cols].reshape(-1, n),
+                               path[:, lo + n + 1].ravel())
+            path[:, cols] = best.reshape(c, len(los), n)
+    costs = _orders_distance(path[:, 1:-1], dist)
+    return [Tour(order=tuple(row), total_distance_m=cost) if cost < tour.total_distance_m else tour
+            for tour, row, cost in zip(tours, path[:, 1:-1].tolist(), costs)]
 
 
 def dp_refine(dist: np.ndarray, tour: Tour, subpath_length: int) -> Tour:
@@ -328,19 +395,7 @@ def dp_refine(dist: np.ndarray, tour: Tour, subpath_length: int) -> Tour:
     """
     if subpath_length < 2:
         raise ValueError("subpath_length must be >= 2")
-    costs = dist.tolist()
-    station = dist.shape[0] - 1
-    path = [station, *tour.order, station]
-    # Window endpoints: every a-th point of the closed path, then the final station.
-    cuts = [*range(0, len(path) - 1, subpath_length), len(path) - 1]
-    new_order: list[int] = []
-    for lo, hi in zip(cuts, cuts[1:]):
-        new_order.extend(_best_path(costs, path[lo], path[lo + 1 : hi], path[hi]))
-        if hi < len(path) - 1:
-            new_order.append(path[hi])
-
-    refined = make_tour(dist, new_order)
-    return refined if refined.total_distance_m < tour.total_distance_m else tour
+    return _refine_tours(dist, [tour], subpath_length)[0]
 
 
 @dataclass(frozen=True)
@@ -368,7 +423,7 @@ def hao_plan(
     stall = 0
     for _ in range(hao_cfg.max_iterations):
         candidates = ga_explore(dist, ga_cfg, rng, seed_population=injected)
-        refined = [dp_refine(dist, t, hao_cfg.subpath_length) for t in candidates]
+        refined = _refine_tours(dist, candidates, hao_cfg.subpath_length)
         it_best = min(refined, key=lambda t: t.total_distance_m)
         if best is None or it_best.total_distance_m < best.total_distance_m:
             best = it_best
@@ -388,4 +443,5 @@ def held_karp(dist: np.ndarray) -> Tour:
     m = dist.shape[0] - 1
     if m > HELD_KARP_MAX_NODES:
         raise ValueError(f"held_karp supports at most {HELD_KARP_MAX_NODES} nodes, got {m}")
-    return make_tour(dist, _best_path(dist.tolist(), m, range(m), m))
+    station = np.array([m])
+    return make_tour(dist, _best_paths(dist, station, np.arange(m)[None], station)[0])

@@ -236,6 +236,8 @@ class Scenario:
 
 def _streams(seed: int) -> dict[str, np.random.Generator]:
     """Named PCG64 child streams so each concern draws independently."""
+    if seed < 0:
+        raise ScenarioError(f"seed must be a non-negative integer, got {seed}")
     root = np.random.SeedSequence(seed)
     names = ("positions", "tasks", "ga")
     children = root.spawn(len(names))

@@ -104,3 +104,55 @@ def slot_walk(scenario, order):
             hovers = math.ceil(scenario.nodes[order[leg]].task_count / tasks_per_slot)
             slots.extend((tuple(b), "hovering", order[leg]) for _ in range(hovers))
     return slots
+
+
+def best_path(dist, start, interior, end):
+    """Shortest path start -> every interior node once -> end, by the scalar
+    bitmask DP on a nested list of distances: the interior nodes in visit
+    order. Cell (mask, j) takes the first predecessor k, in interior order,
+    that strictly lowers prev_cost[k] + local[k][j]; the path ends at the
+    first j minimizing its cost plus dist[j][end]."""
+    n = len(interior)
+    if n <= 1:
+        return list(interior)
+    local = [[dist[i][j] for j in interior] for i in interior]
+    cost = [[math.inf] * n for _ in range(1 << n)]
+    parent = [[-1] * n for _ in range(1 << n)]
+    for j, node in enumerate(interior):
+        cost[1 << j][j] = dist[start][node]
+    for mask in range(1, 1 << n):
+        if not mask & (mask - 1):
+            continue
+        members = [j for j in range(n) if mask >> j & 1]
+        for j in members:
+            prev_cost = cost[mask ^ (1 << j)]
+            best, arg = math.inf, -1
+            for k in members:
+                if k != j:
+                    c = prev_cost[k] + local[k][j]
+                    if c < best:
+                        best, arg = c, k
+            cost[mask][j] = best
+            parent[mask][j] = arg
+    mask = (1 << n) - 1
+    last = min(range(n), key=lambda j: (cost[mask][j] + dist[interior[j]][end], j))
+    seq = []
+    while last >= 0:
+        seq.append(interior[last])
+        mask, last = mask ^ (1 << last), parent[mask][last]
+    return seq[::-1]
+
+
+def dp_refine_reference(dist, order, subpath_length):
+    """The window-by-window reordering of the closed tour station -> order ->
+    station that `dp_refine` makes, each window solved by `best_path`."""
+    costs = np.asarray(dist).tolist()
+    station = len(costs) - 1
+    path = [station, *order, station]
+    cuts = [*range(0, len(path) - 1, subpath_length), len(path) - 1]
+    new_order = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        new_order.extend(best_path(costs, path[lo], path[lo + 1 : hi], path[hi]))
+        if hi < len(path) - 1:
+            new_order.append(path[hi])
+    return new_order

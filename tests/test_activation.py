@@ -1,5 +1,6 @@
 import cmath
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -337,6 +338,47 @@ def test_islr_bitmaps_are_unchanged():
     )
     assert calls == 4524
     assert digest == "0da7840d3b76a1c948bf9caab301e8f7aa5ce215595989d65a0cfbfc5095074a"
+
+
+def test_islr_rows_on_flying_slots_match_one_slot_solves():
+    # one block per plan, K in {1, 3, 10, 16}, each high_count of the golden test
+    for channels, response, delta, rho in _flying_slot_blocks((1, 3, 10, 16)):
+        k = channels.shape[1]
+        for high_count in (None, 1, k):
+            rows = act.islr_rows(channels, response, delta, rho, high_count)
+            for h, row in zip(channels, rows):
+                expected = act.islr_optimize(act.ActivationProblem(h, response, delta, rho), high_count)
+                assert np.array_equal(row, expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(min_value=1, max_value=12), rows=st.integers(min_value=1, max_value=8),
+       block_rows=st.sampled_from([act._ISLR_BLOCK_ROWS, 3, 1]), data=st.data())
+def test_islr_rows_match_islr_optimize_on_mixed_blocks(k, rows, block_rows, data):
+    # repeated rows, zero phasors and subnormal objectives in one block,
+    # searched all at once or a few rows at a time
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    distinct = rng.normal(size=(rows, k)) + 1j * rng.normal(size=(rows, k))
+    channel = distinct[rng.integers(0, rng.integers(1, rows + 1), size=rows)]
+    channel[rng.random((rows, k)) < 0.2] = 0
+    response = np.exp(2j * np.pi * rng.random(k))
+    delta = data.draw(st.floats(min_value=0.05, max_value=0.95))
+    rho = data.draw(st.sampled_from([1.0, 1e-322, 1e-323]))
+    high_count = data.draw(st.one_of(st.none(), st.integers(min_value=1, max_value=k)))
+    with mock.patch.object(act, "_ISLR_BLOCK_ROWS", block_rows):
+        block = act.islr_rows(channel, response, delta, rho, high_count)
+    assert block.dtype == np.int8 and block.shape == (rows, k)
+    for h, row in zip(channel, block):
+        expected = act.islr_optimize(act.ActivationProblem(h, response, delta, rho), high_count)
+        assert np.array_equal(row, expected)
+
+
+def test_islr_rows_check_high_count_once_per_block():
+    channel = np.ones((3, 4), dtype=complex)
+    for bad in (0, 5):
+        with pytest.raises(ValueError, match=r"high_count must lie in \[1, K\]"):
+            act.islr_rows(channel, np.ones(4), 0.5, 1.0, bad)
+    assert act.islr_rows(channel[:0], np.ones(4), 0.5, 1.0).shape == (0, 4)
 
 
 def test_exact_bitmaps_on_flying_slots_are_unchanged():

@@ -83,6 +83,25 @@ def test_activate_prints_the_answer_simulate_costs(tmp_path, capsys, activator):
             assert f"activation: {bits}\n" in out
 
 
+@pytest.mark.parametrize("activator", ["islr", "mimo"])
+def test_activate_plans_with_the_planner_flags(tmp_path, capsys, activator):
+    # on this scenario the flags plan a longer tour than the default GaConfig does
+    argv = ["--seed", "3", "--nodes", "8", "--population", "40", "--generations", "10"]
+    rc = cli.main(["simulate", *argv, "--strategy", f"hao:{activator}", "--out", str(tmp_path)])
+    assert rc == cli.EXIT_OK
+    report = json.loads((tmp_path / "energy.json").read_text())[0]
+    slots = (tmp_path / "slots.csv").read_text().splitlines()[1:]
+    capsys.readouterr()
+    for slot in (1, len(slots) // 2, len(slots) - 2):
+        rc = cli.main(["activate", *argv, "--slot", str(slot), "--planner", "hao",
+                       "--activator", activator])
+        assert rc == cli.EXIT_OK
+        out = capsys.readouterr().out
+        x, y, z = (float(v) for v in slots[slot].split(",")[2:5])
+        assert f"at ({x:.3f}, {y:.3f}, {z:.3f})" in out
+        assert f"required power: {report['per_slot_power_w'][slot]:.6e} W" in out
+
+
 def test_activate_by_slot_index(capsys):
     rc = cli.main(
         ["activate", "--seed", "3", "--nodes", "2", "--slot", "0",
@@ -257,6 +276,9 @@ def test_benchmark_counts_a_repeated_row_once(tmp_path, values, strategies):
     (["--strategies", "hao:bogus,nearest_neighbor:full", "--seeds", "1"], "unknown activator 'bogus'"),
     (["--strategies", "nearest_neighbor:full", "--seeds", "5-3"], "seeds must be nonempty"),
     (["--strategies", ",", "--seeds", "1"], "strategies must be nonempty"),
+    (["--strategies", "nearest_neighbor:full", "--seeds=-1"], "--seeds must be a range"),
+    (["--strategies", "nearest_neighbor:full", "--seeds=2,-1"], "not '2,-1'"),
+    (["--strategies", "nearest_neighbor:full", "--seeds", "1-x"], "not '1-x'"),
 ])
 def test_benchmark_configuration_errors_exit_2_without_csv(tmp_path, capsys, flags, cause):
     outdir = tmp_path / "bench"
@@ -264,6 +286,15 @@ def test_benchmark_configuration_errors_exit_2_without_csv(tmp_path, capsys, fla
     assert rc == cli.EXIT_CONFIG
     assert cause in capsys.readouterr().err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize("command", [["plan"], ["simulate"], ["activate", "--slot", "0"]])
+def test_negative_seed_exits_2_naming_the_seed(tmp_path, capsys, command):
+    rc = cli.main([*command, "--seed", "-5", "--nodes", "2", *FAST[:4],
+                   *([] if command[0] == "activate" else ["--out", str(tmp_path / "x")])])
+    assert rc == cli.EXIT_CONFIG
+    assert "seed must be a non-negative integer, got -5" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
 
 
 def test_readme_cli_flags_exist():

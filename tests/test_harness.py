@@ -141,14 +141,14 @@ def test_solve_cycle_solves_each_distinct_position_once(monkeypatch):
     plan = lb.discretize(s, rp.nearest_neighbor(s))
     distinct = len(np.unique(plan.positions(), axis=0))
     assert distinct < plan.total_slots
-    calls, rows = [], []
-    real_solve, real_rows = harness.solve_slot, act.exact_rows
-    monkeypatch.setattr(harness, "solve_slot", lambda *a: calls.append(1) or real_solve(*a))
-    monkeypatch.setattr(act, "exact_rows", lambda h, *a: rows.append(len(h)) or real_rows(h, *a))
+    islr, exact = [], []
+    real_islr, real_exact = act.islr_rows, act.exact_rows
+    monkeypatch.setattr(act, "islr_rows", lambda h, *a: islr.append(len(h)) or real_islr(h, *a))
+    monkeypatch.setattr(act, "exact_rows", lambda h, *a: exact.append(len(h)) or real_exact(h, *a))
     harness.solve_cycle(s, plan, "islr", fast_spec())
     harness.solve_cycle(s, plan, "bnb", fast_spec())
-    assert len(calls) == distinct
-    assert rows == [distinct]
+    assert islr == [distinct]
+    assert exact == [distinct]
 
 
 @pytest.mark.parametrize("activator", harness.ACTIVATORS)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from pass_uav import harness
 from pass_uav import route_planner as rp
 from pass_uav import scenario as scen
 
-from oracles import greedy_walk, ordered_crossover_reference
+from oracles import best_path, dp_refine_reference, greedy_walk, ordered_crossover_reference
 
 
 def _scenario_with_nodes(positions, station=(0.0, 0.0, 0.0)):
@@ -161,7 +162,8 @@ def test_best_path_matches_permutation_enumeration(n, closed, seed):
         path = [start, *seq, end]
         return sum(dist[a][b] for a, b in zip(path, path[1:]))
 
-    got = rp._best_path(dist, start, interior, end)
+    got = rp._best_paths(np.array(dist), np.array([start]), np.array(interior, dtype=int)[None],
+                         np.array([end]))[0].tolist()
     assert sorted(got) == interior
     best = min(length(p) for p in itertools.permutations(interior))
     assert length(got) == pytest.approx(best, rel=1e-12)
@@ -194,6 +196,90 @@ def test_dp_refine_keeps_optimal_tour():
     dist = _dist(2, 7)
     best = rp.held_karp(dist)
     assert rp.dp_refine(dist, best, 3) is best
+
+
+def _random_matrix(rng, size, ties):
+    """A random cost matrix; with ``ties``, integer-valued entries in {0, 1, 2},
+    so that many paths tie exactly."""
+    if ties:
+        return rng.integers(0, 3, (size, size)).astype(float)
+    return rng.random((size, size))
+
+
+# A DP block of 1 or 8 cells forces one window, and a few candidates, per step.
+BLOCK_SIZES = st.sampled_from([rp._DP_BLOCK_CELLS, 8, 1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    size=st.integers(min_value=1, max_value=9),
+    windows=st.integers(min_value=1, max_value=6),
+    ties=st.booleans(),
+    block=BLOCK_SIZES,
+    data=st.data(),
+)
+def test_batched_dp_matches_the_scalar_dp(size, windows, ties, block, data):
+    # each window's order is the scalar DP's, bit for bit, ties included
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    dist = _random_matrix(rng, size, ties)
+    n = data.draw(st.integers(min_value=0, max_value=size))
+    nodes = np.array([rng.permutation(size)[:n] for _ in range(windows)]).reshape(windows, n)
+    starts, ends = rng.integers(0, size, windows), rng.integers(0, size, windows)
+    with mock.patch.object(rp, "_DP_BLOCK_CELLS", block):
+        got = rp._best_paths(dist, starts, nodes, ends)
+    for row, start, interior, end in zip(got.tolist(), starts, nodes.tolist(), ends):
+        assert row == best_path(dist.tolist(), start, interior, end)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=10),
+    tours=st.integers(min_value=1, max_value=5),
+    ties=st.booleans(),
+    block=BLOCK_SIZES,
+    data=st.data(),
+)
+def test_refining_a_block_matches_window_by_window(m, tours, ties, block, data):
+    # a block of tours is reordered, costed and kept or dropped as dp_refine
+    # does each one with the scalar DP on its own
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    dist = _random_matrix(rng, m + 1, ties)
+    a = data.draw(st.integers(min_value=2, max_value=m + 3))
+    given_tours = [rp.make_tour(dist, rng.permutation(m)) for _ in range(tours)]
+    with mock.patch.object(rp, "_DP_BLOCK_CELLS", block):
+        refined = rp._refine_tours(dist, given_tours, a)
+    for tour, got in zip(given_tours, refined):
+        expected = rp.make_tour(dist, dp_refine_reference(dist, tour.order, a))
+        if not expected.total_distance_m < tour.total_distance_m:
+            expected = tour
+        assert got.order == expected.order
+        assert got.total_distance_m == expected.total_distance_m
+
+
+def test_dp_refine_window_holding_every_node_matches_the_scalar_dp():
+    # subpath_length above M: one window from the station back to it, M = 12
+    rng = np.random.default_rng(12)
+    for ties in (False, True):
+        dist = _random_matrix(rng, 13, ties)
+        tour = rp.make_tour(dist, rng.permutation(12))
+        refined = rp.dp_refine(dist, tour, 20)
+        expected = best_path(dist.tolist(), 12, list(tour.order), 12)
+        assert refined.order == tuple(expected)
+        assert refined.total_distance_m == rp.make_tour(dist, expected).total_distance_m
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(min_value=1, max_value=9), ties=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_held_karp_matches_the_scalar_dp(m, ties, seed):
+    dist = _random_matrix(np.random.default_rng(seed), m + 1, ties)
+    assert rp.held_karp(dist).order == tuple(best_path(dist.tolist(), m, list(range(m)), m))
+
+
+def test_held_karp_at_twelve_nodes_matches_the_scalar_dp():
+    rng = np.random.default_rng(4)
+    for dist in (_dist(4, 12), _random_matrix(rng, 13, True)):
+        assert rp.held_karp(dist).order == tuple(best_path(dist.tolist(), 12, list(range(12)), 12))
 
 
 def test_ga_explore_saturates_tiny_instance():
