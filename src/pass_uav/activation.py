@@ -1,6 +1,5 @@
 """Per-slot antenna activation: the exhaustive oracle, the exact convex-hull
-dynamic program, the incremental-search/local-replacement heuristic, and the
-full-activation baseline.
+dynamic program and the incremental-search/local-replacement heuristic.
 
 The figure of merit is f(a) = rho * |sum_k conj(h_k) beta_k(a) g_k a_k|^2 with
 rho = 1 / ((2^R_th - 1) sigma^2); maximizing f minimizes the transmit power
@@ -130,10 +129,6 @@ def combined_gains(channel, response, activations, delta: float) -> list[float]:
     beta = propagation.radiation_ratios(activations, delta)
     amps = np.sum(np.conj(channel) * beta * response, axis=-1)
     return [float(np.abs(amp) ** 2) for amp in np.atleast_1d(amps)]
-
-
-def full_activation(k: int) -> np.ndarray:
-    return np.ones(k, dtype=np.int8)
 
 
 def _all_bitmaps(k: int) -> np.ndarray:

@@ -2,8 +2,11 @@
 optimization, baseline strategies including a conventional multi-antenna
 array, benchmark sweeps, and the flat-file outputs the CLI emits.
 
-A sweep keeps every cell's cycle energy in one (values, seeds, strategies)
-array, ``ExperimentResult.cycle_energies``, NaN where the cell failed.
+`solve_rows` is the one place a PA activator's name picks its solver, for a
+cycle and for one slot alike, and `run_dlo` builds a plan's (S, K) channel
+block once for every PA activator, none for the array alone. A sweep keeps
+every cell's cycle energy in one (values, seeds, strategies) array,
+``ExperimentResult.cycle_energies``, NaN where the cell failed.
 """
 
 from __future__ import annotations
@@ -116,16 +119,24 @@ def plan_tour(
     return min(candidates, key=lambda t: t.total_distance_m), ()
 
 
-def solve_slot(problem: act.ActivationProblem, activator: str, spec: StrategySpec) -> np.ndarray:
+def solve_rows(channels, activator: str, spec: StrategySpec, response, delta, rho) -> np.ndarray:
+    """Activations of an (S, K) channel block, one row per slot, as (S, K)
+    int8 bitmaps: the one place a PA activator's name picks its solver."""
     if activator == "bnb":
-        return act.exact_rows(problem.channel[None], problem.response, problem.delta, problem.rho)[0]
+        return act.exact_rows(channels, response, delta, rho)
     if activator == "islr":
-        return act.islr_optimize(problem, spec.islr_high_count)
-    if activator == "exhaustive":
-        return act.exhaustive_best(problem)
+        return act.islr_rows(channels, response, delta, rho, spec.islr_high_count)
     if activator == "full":
-        return act.full_activation(problem.size)
+        return np.ones(np.shape(channels), dtype=np.int8)
+    if activator == "exhaustive":
+        return np.array([act.exhaustive_best(act.ActivationProblem(h, response, delta, rho))
+                         for h in channels])
     raise ValueError(f"activator '{activator}' does not produce activation vectors")
+
+
+def solve_slot(problem: act.ActivationProblem, activator: str, spec: StrategySpec) -> np.ndarray:
+    return solve_rows(problem.channel[None], activator, spec, problem.response, problem.delta,
+                      problem.rho)[0]
 
 
 def solve_cycle(
@@ -133,28 +144,22 @@ def solve_cycle(
     plan: lb.SlotPlan,
     activator: str,
     spec: StrategySpec,
+    *, channels: np.ndarray | None = None,
 ) -> lb.EnergyReport:
     """Per-slot optimization over one flight cycle, on one channel block.
 
     A slot's activation depends only on its position, so each distinct
-    position is solved once (by the exact activator and by ISLR as one
-    block) and every slot at it takes that answer; the same block then
-    costs the cycle. The array baseline has no activation vector; its gains
-    are costed by the same rule.
+    position is solved once, all in one `solve_rows` block, and every slot
+    at it takes that answer; the same block, ``channels`` (built when
+    omitted), then costs the cycle. The array baseline has no activation
+    vector; its gains are costed by the same rule.
     """
     if activator == "mimo":
         gains = mimo_gains(scenario, spec.mimo, plan.positions())
         return lb.gain_report(scenario, plan, "mimo", gains, np.zeros((0, 0), dtype=np.int8))
-    channels = propagation.channel(scenario, plan.positions())
+    channels = propagation.channel(scenario, plan.positions()) if channels is None else channels
     _, first, where = np.unique(plan.positions(), axis=0, return_index=True, return_inverse=True)
-    response, delta, rho = act.link_constants(scenario)
-    if activator == "bnb":
-        rows = act.exact_rows(channels[first], response, delta, rho)
-    elif activator == "islr":
-        rows = act.islr_rows(channels[first], response, delta, rho, spec.islr_high_count)
-    else:
-        rows = np.array([solve_slot(act.ActivationProblem(h, response, delta, rho), activator, spec)
-                         for h in channels[first]])
+    rows = solve_rows(channels[first], activator, spec, *act.link_constants(scenario))
     # NumPy 2 can return the inverse with an extra axis
     return lb.cycle_energy(scenario, plan, rows[where.reshape(-1)], activator, channels=channels)
 
@@ -165,13 +170,13 @@ def run_dlo(
     extra_activators: Sequence[str] = (),
 ) -> DloOutput:
     """Plan the route, discretize it, optimize every slot; one report per
-    activator, all sharing the planned cycle."""
+    activator, all sharing the planned cycle and its one channel block."""
     tour, trace = plan_tour(scenario, spec)
     plan = lb.discretize(scenario, tour)
-    reports = tuple(
-        solve_cycle(scenario, plan, activator, spec)
-        for activator in (spec.activator, *extra_activators)
-    )
+    activators = (spec.activator, *extra_activators)
+    channels = propagation.channel(scenario, plan.positions()) if {*activators} - {"mimo"} else None
+    reports = tuple(solve_cycle(scenario, plan, activator, spec, channels=channels)
+                    for activator in activators)
     return DloOutput(tour=tour, slot_plan=plan, reports=reports, planner_trace=trace)
 
 

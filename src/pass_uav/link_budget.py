@@ -118,10 +118,10 @@ def discretize(scenario: Scenario, tour: Tour) -> SlotPlan:
     lengths = [float(np.linalg.norm(b - a)) for a, b in zip(stops, stops[1:])]
     fly_counts = [_slot_count(d, fly_step) if d > 0.0 else 0 for d in lengths]
     hover_counts = [_slot_count(scenario.nodes[i].task_count, tasks_per_slot) for i in tour.order] + [0]
-    total = sum(fly_counts) + sum(hover_counts)
+    total = sum(fly_counts + hover_counts, 0.0)  # inf past the float range, for the message
     if not total <= MAX_SLOTS:
         raise ScenarioError(
-            f"the cycle needs {total} slots, more than the {MAX_SLOTS} a plan may hold; "
+            f"the cycle needs {total:.6g} slots, more than the {MAX_SLOTS} a plan may hold; "
             "check slot_seconds and the speeds"
         )
 

@@ -385,6 +385,17 @@ def _refine_tours(dist: np.ndarray, tours: Sequence[Tour], subpath_length: int) 
             for tour, row, cost in zip(tours, path[:, 1:-1].tolist(), costs)]
 
 
+def _check_window(dist: np.ndarray, subpath_length: int) -> None:
+    """A window of a = ``subpath_length`` holds min(a - 1, M) interior nodes,
+    and its DP 2^n cells per node, so n is capped as Held-Karp's M is."""
+    if subpath_length < 2:
+        raise ValueError("subpath_length must be >= 2")
+    interior = min(subpath_length - 1, dist.shape[0] - 1)
+    if interior > HELD_KARP_MAX_NODES:
+        raise ValueError(f"subpath_length {subpath_length} puts {interior} nodes inside a DP window, "
+                         f"more than the {HELD_KARP_MAX_NODES} a window may hold")
+
+
 def dp_refine(dist: np.ndarray, tour: Tour, subpath_length: int) -> Tour:
     """Exactly reorder the interior of each overlapping-endpoint window.
 
@@ -393,8 +404,7 @@ def dp_refine(dist: np.ndarray, tour: Tour, subpath_length: int) -> Tour:
     and the windows are recombined in order. The refined tour replaces the
     input only when strictly cheaper.
     """
-    if subpath_length < 2:
-        raise ValueError("subpath_length must be >= 2")
+    _check_window(dist, subpath_length)
     return _refine_tours(dist, [tour], subpath_length)[0]
 
 
@@ -417,6 +427,7 @@ def hao_plan(
     improved for ``STALL_LIMIT`` consecutive rounds. The recorded trace is the
     running best, hence non-increasing.
     """
+    _check_window(dist, hao_cfg.subpath_length)
     best: Optional[Tour] = None
     trace: list[float] = []
     injected: Optional[list[Tour]] = None

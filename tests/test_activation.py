@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from oracles import bitmap_digest
 
 from pass_uav import activation as act
+from pass_uav import harness
 from pass_uav import link_budget as lb
 from pass_uav import propagation as prop
 from pass_uav import route_planner as rp
@@ -278,7 +279,7 @@ def test_islr_feasible_and_dominates_full(reference):
         rate = lb.achievable_rate(power, gain, phys.noise_power_w)
         assert rate == pytest.approx(phys.rate_threshold_bps_hz, rel=1e-9)
         full_power = lb.required_power(
-            pr.gain(act.full_activation(10)), phys.rate_threshold_bps_hz, phys.noise_power_w
+            pr.gain(np.ones(10, dtype=np.int8)), phys.rate_threshold_bps_hz, phys.noise_power_w
         )
         assert power <= full_power
 
@@ -417,9 +418,10 @@ def test_exact_rows_on_flying_slots_match_the_golden_digest_without_fallback():
     assert digest == "3a32e96e72d4a0167124b236fd270b3cc1eaccd14379d7738035656c148a7467"
 
 
-def test_full_activation_vector():
-    bits = act.full_activation(10)
-    assert bits.tolist() == [1] * 10
+def test_full_activation_vector(reference):
+    # the all-on baseline is the `full` activator's answer at any position
+    bits = harness.solve_slot(_problem(reference, (30.0, 40.0, 5.0)), "full", harness.StrategySpec())
+    assert bits.dtype == np.int8 and bits.tolist() == [1] * 10
     beta = prop.radiation_ratios(bits, 0.3)
     assert float(np.sum(beta**2)) == pytest.approx(1.0 - (1.0 - 0.09) ** 10, rel=1e-12)
 
@@ -427,7 +429,7 @@ def test_full_activation_vector():
 def test_full_activation_never_beats_bnb(reference):
     for pos in _random_positions(10, seed=14):
         pr = _problem(reference, pos)
-        assert pr.objective(act.full_activation(10)) <= pr.objective(
+        assert pr.objective(np.ones(10, dtype=np.int8)) <= pr.objective(
             act.bnb_optimize(pr)
         ) * (1.0 + 1e-9)
 

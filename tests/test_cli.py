@@ -667,12 +667,42 @@ def test_fuzzed_scenario_files_end_in_documented_exit_codes(tmp_path_factory, da
     assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_INFEASIBLE)
 
 
-def test_huge_task_count_exits_through_the_slot_cap(tmp_path):
-    scenario = scen.scenario_to_dict(scen.generate_scenario(3, 2, pa_count=4))
-    scenario["nodes"][1]["task_count"] = 10**30
-    rc, err = _simulate(scenario, tmp_path)
+def test_subpath_past_the_window_cap_exits_before_planning(tmp_path, capsys, monkeypatch):
+    # a 30-node window's DP would ask for about 290 GB; it must never start
+    def never(*args, **kwargs):
+        raise AssertionError("planning started")
+
+    monkeypatch.setattr(rp, "ga_explore", never)
+    monkeypatch.setattr(rp, "_dp_block", never)
+    out = tmp_path / "out"
+    rc = cli.main(["plan", "--nodes", "30", "--subpath", "31", "--out", str(out)])
+    err = capsys.readouterr().err
     assert rc == cli.EXIT_CONFIG
-    assert f"more than the {lb.MAX_SLOTS}" in err
+    assert f"30 nodes inside a DP window, more than the {rp.HELD_KARP_MAX_NODES}" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_huge_task_count_exits_through_the_slot_cap(tmp_path):
+    # the count is printed to 6 digits: just past the cap, 2e30 slots, and two
+    # hovers of 1.6e308 slots each, whose sum is past the float range
+    for counts, shown in (((3, 49_976), "100002"), ((3, 10**30), "2e+30"),
+                          ((8 * 10**307, 8 * 10**307), "inf")):
+        scenario = scen.scenario_to_dict(scen.generate_scenario(3, 2, pa_count=4))
+        for node, count in zip(scenario["nodes"], counts):
+            node["task_count"] = count
+        rc, err = _simulate(scenario, tmp_path)
+        assert rc == cli.EXIT_CONFIG
+        assert f"needs {shown} slots, more than the {lb.MAX_SLOTS}" in err
+        assert "Traceback" not in err and len(err) < 200
+
+
+def test_slot_length_near_zero_prints_a_short_slot_count(tmp_path):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(["simulate", "--tau", "1e-300", "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG
+    assert f"e+302 slots, more than the {lb.MAX_SLOTS}" in err.getvalue()
+    assert len(err.getvalue()) < 200 and not (tmp_path / "out").exists()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -133,7 +133,14 @@ def test_every_slot_takes_the_answer_at_its_own_position(activator):
         out = harness.run_dlo(s, spec)
         for slot, bits in zip(out.slot_plan.slots, out.reports[0].per_slot_activation):
             problem = act.ActivationProblem.from_scenario(s, slot.position_m)
-            assert np.array_equal(bits, harness.solve_slot(problem, activator, spec))
+            # each activator's own one-slot oracle, not the dispatch under test
+            expected = {
+                "bnb": act.bnb_optimize,
+                "islr": act.islr_optimize,
+                "full": lambda p: np.ones(p.size, dtype=np.int8),
+                "exhaustive": act.exhaustive_best,
+            }[activator](problem)
+            assert bits.dtype == np.int8 and np.array_equal(bits, expected)
 
 
 def test_solve_cycle_solves_each_distinct_position_once(monkeypatch):
@@ -164,6 +171,21 @@ def test_solve_cycle_builds_one_channel_block(monkeypatch, activator):
     if activator != "mimo":
         rebuilt = lb.cycle_energy(s, plan, report.per_slot_activation, activator)
         assert rebuilt.per_slot_power_w == report.per_slot_power_w
+
+
+@pytest.mark.parametrize("extra, builds", [(("islr", "full", "exhaustive", "mimo"), 1), ((), 0)])
+def test_run_dlo_builds_one_channel_block_per_plan(monkeypatch, extra, builds):
+    # every PA activator shares the plan's block; the array alone needs none
+    s = scen.generate_scenario(3, 3)
+    spec = fast_spec(planner="nearest_neighbor", activator="mimo" if builds == 0 else "bnb")
+    calls, real = [], propagation.channel
+    monkeypatch.setattr(propagation, "channel", lambda *a: calls.append(1) or real(*a))
+    output = harness.run_dlo(s, spec, extra_activators=extra)
+    assert len(calls) == builds
+    monkeypatch.undo()
+    for report in output.reports:
+        alone = harness.solve_cycle(s, output.slot_plan, report.strategy_name, spec)
+        assert alone.per_slot_power_w == report.per_slot_power_w
 
 
 def test_planner_dispatch_held_karp_is_shortest():

@@ -256,6 +256,20 @@ def test_refining_a_block_matches_window_by_window(m, tours, ties, block, data):
         assert got.total_distance_m == expected.total_distance_m
 
 
+@pytest.mark.parametrize("m, subpath, interior", [(20, 18, 17), (17, 40, 17)])
+def test_a_window_past_the_held_karp_cap_is_refused(m, subpath, interior):
+    # the window's interior is min(subpath - 1, M) nodes; 16 is the most a DP may hold
+    dist = _random_matrix(np.random.default_rng(m), m + 1, False)
+    tour = rp.make_tour(dist, range(m))
+    message = f"{interior} nodes inside a DP window"
+    with pytest.raises(ValueError, match=message):
+        rp.dp_refine(dist, tour, subpath)
+    with pytest.raises(ValueError, match=message):
+        rp.hao_plan(dist, rp.GaConfig(population_size=10, generations=1),
+                    rp.HaoConfig(max_iterations=1, subpath_length=subpath), np.random.default_rng(0))
+    assert rp.dp_refine(dist, tour, min(subpath, rp.HELD_KARP_MAX_NODES + 1)).order
+
+
 def test_dp_refine_window_holding_every_node_matches_the_scalar_dp():
     # subpath_length above M: one window from the station back to it, M = 12
     rng = np.random.default_rng(12)
