@@ -75,9 +75,10 @@ _ORIENT_TINY = 1e-290
 _BATCH_REL_TOL = 1e-12
 # `exact_rows` keys an activation by an int64 bitmask.
 _BATCH_MAX_K = 62
-# `islr_rows` runs at most this many slot searches at once; each holds a
-# coroutine and its scored sets, a few KB.
-_ISLR_BLOCK_ROWS = 32
+# `islr_rows` walks its rows in chunks of at most this many rows * K^2: a
+# walk scores up to K - 1 candidate sets of K couplers per row, and a scored
+# cell peaks at about 32 bytes, so a chunk stays near 8 MB.
+_ISLR_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -382,78 +383,21 @@ def exact_rows(channel, response, delta: float, rho: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _bits(members, k: int) -> np.ndarray:
-    bits = np.zeros(k, dtype=np.int8)
-    bits[list(members)] = 1
-    return bits
-
-
-def _islr_search(mags: np.ndarray, delta: float, high_count: int):
-    """The ISLR walk of one slot as a coroutine: it yields the bitmap of each
-    set it scores, takes that set's objective back through ``send``, and
-    returns the bitmap of the best set scored (see `islr_optimize`)."""
-    k = mags.size
-    ranked = [int(i) for i in np.argsort(-mags, kind="stable")]
-    scores: dict[tuple, float] = {}  # every set scored, as its sorted members, in scoring order
-
-    def score(members):
-        key = tuple(sorted(members))
-        if key not in scores:
-            scores[key] = yield _bits(members, k)
-        return scores[key]
-
-    def climb(members, obj, candidates):
-        """Score the candidate sets in order while the objective strictly
-        rises; return the last rising set (``members`` if none rose), its
-        objective and how many sets rose."""
-        rose = 0
-        for candidate in candidates:
-            new = yield from score(candidate)
-            if new <= obj:
-                break
-            members, obj, rose = candidate, new, rose + 1
-        return members, obj, rose
-
-    yield from score(range(k))
-    current, obj = [], -math.inf
-    for n in range(1, high_count + 1):
-        new = yield from score(ranked[:n])
-        if new > obj:
-            current, obj = ranked[:n], new
-    pool = ranked[high_count:]
-
-    for _ in range(4 * k):
-        dropped = 0
-        if len(current) >= 2:
-            # Marginal gain of each member under the current arrangement:
-            # its own amplitude contribution, phases ignored.
-            beta = propagation.radiation_ratios(_bits(current, k), delta)
-            order = sorted(current, key=lambda p: (beta[p] * mags[p], p))
-            current, obj, dropped = yield from climb(
-                current, obj, (order[n:] for n in range(1, len(order))))
-        current, obj, added = yield from climb(
-            current, obj, (current + pool[:n] for n in range(1, len(pool) + 1)))
-        pool = pool[added:]
-        if not (dropped or added):
-            break
-
-    return _bits(max(scores, key=scores.get), k)
-
-
 def islr_optimize(problem: ActivationProblem, high_count: Optional[int] = None) -> np.ndarray:
     """Gain-ranked incremental search refined by downsizing/upsizing walks.
 
     Antennas sorted by free-space gain split into a high-efficiency prefix of
     ``high_count`` entries and a low-efficiency pool. The search runs in three
     phases: it scores the all-on baseline; it scans the gain-ranked prefixes
-    of length 1..``high_count`` and keeps the best; then it alternates a
+    of length 1..``high_count`` and keeps the first best; then it alternates a
     downsizing walk (drop the lowest marginal-gain members one by one) and an
     upsizing walk (append pool antennas in gain order) until neither raises
-    the objective, for at most 4K rounds. Each walk stops at the first set
-    that does not raise it. The best set scored anywhere is returned, the
-    first one on ties; the all-on baseline is among them, so the heuristic
-    never loses to plain full activation. A set met again is not re-scored.
-    The slot is solved as a one-row `islr_rows` block.
+    the objective, for at most 4K rounds. Each walk moves to the last set of
+    its strictly rising run. The best set scored anywhere, the first one on
+    ties, is returned: the walk's objective only rises, so that is the all-on
+    baseline when it scores at least the walk's final set, and the final set
+    otherwise; the heuristic never loses to plain full activation. The slot
+    is solved as a one-row `islr_rows` block.
     """
     return islr_rows([problem.channel], problem.response, problem.delta, problem.rho, high_count)[0]
 
@@ -464,11 +408,11 @@ def islr_rows(channel, response, delta: float, rho: float,
     (S, K) int8 bitmaps: row i is the ISLR answer for the slot with channel
     row i and the shared response, delta and rho.
 
-    Every slot runs its own `_islr_search`, up to _ISLR_BLOCK_ROWS of them at
-    once. Each step scores the pending set of every slot still searching in
-    one `combined_gains` call on the matching channel rows, whose row sums
-    do not depend on the stacking, so each slot sees the scores, and takes
-    the walk, that it would take alone.
+    The walks of a chunk of rows run in step. Each walk scores every
+    candidate set of every row still moving in one `combined_gains` call on
+    the matching channel rows, whose row sums do not depend on the stacking,
+    so each slot sees the scores, and takes the walk, that it would take
+    alone.
     """
     channel = np.asarray(channel, dtype=np.complex128)
     rows, k = channel.shape
@@ -477,17 +421,60 @@ def islr_rows(channel, response, delta: float, rho: float,
     if not 1 <= high_count <= k:
         raise ValueError("high_count must lie in [1, K]")
     out = np.empty((rows, k), dtype=np.int8)
-    for lo in range(0, rows, _ISLR_BLOCK_ROWS):
-        block = channel[lo : lo + _ISLR_BLOCK_ROWS]
-        searches = [_islr_search(mags, delta, high_count) for mags in np.abs(np.conj(block) * response)]
-        pending = {i: next(search) for i, search in enumerate(searches)}
-        while pending:
-            live = list(pending)
-            gains = combined_gains(block[live], response, np.array(list(pending.values())), delta)
-            for i, gain in zip(live, gains):
-                try:
-                    pending[i] = searches[i].send(rho * gain)
-                except StopIteration as done:
-                    out[lo + i] = done.value
-                    del pending[i]
+    step = max(1, _ISLR_BLOCK_CELLS // (k * k))
+    for lo in range(0, rows, step):
+        out[lo : lo + step] = _islr_chunk(channel[lo : lo + step], response, delta, rho, high_count)
     return out
+
+
+def _islr_chunk(channel, response, delta: float, rho: float, high_count: int) -> np.ndarray:
+    """`islr_rows` on a chunk of rows, each set a (rows, K) bool mask."""
+    rows, k = channel.shape
+    mags = np.abs(np.conj(channel) * response)
+    rank = np.argsort(np.argsort(-mags, axis=1, kind="stable"), axis=1)  # place in gain order
+    steps = np.arange(1, k)
+
+    def score(which, sets):
+        return rho * np.array(combined_gains(channel[which], response, sets, delta))
+
+    def walk(which, sets, obj, candidates, valid):
+        """Score the valid candidates, (n, steps, K) masks, of each row in
+        one call and move that row of ``sets`` and ``obj``, in place, to the
+        last set of its strictly rising run; return the run lengths."""
+        scores = np.full(valid.shape, -np.inf)
+        scores[valid] = score(np.repeat(which, valid.sum(axis=1)), candidates[valid])
+        path = np.column_stack([obj, scores])
+        moved = np.logical_and.accumulate(path[:, 1:] > path[:, :-1], axis=1).sum(axis=1)
+        at = np.flatnonzero(moved)
+        sets[at], obj[at] = candidates[at, moved[at] - 1], scores[at, moved[at] - 1]
+        return moved
+
+    everyone = np.arange(rows)
+    baseline = score(everyone, np.ones((rows, k), dtype=bool))
+    prefixes = rank[:, None, :] < np.arange(1, high_count + 1)[:, None]
+    scores = score(np.repeat(everyone, high_count), prefixes.reshape(-1, k)).reshape(rows, high_count)
+    first = np.argmax(scores, axis=1)
+    current, obj = prefixes[everyone, first], scores[everyone, first]
+    start = np.full(rows, high_count)  # the pool is the couplers ranked start and later
+
+    live = everyone
+    for _ in range(4 * k):
+        if not live.size:
+            break
+        sets, best = current[live], obj[live]
+        # downsizing: drop the members of least marginal gain, beta_k |phi_k|
+        # under the current arrangement with phases ignored, ties by index
+        beta = propagation.radiation_ratios(sets, delta)
+        place = np.argsort(np.argsort(np.where(sets, beta * mags[live], np.inf), axis=1,
+                                      kind="stable"), axis=1)
+        drops = sets[:, None, :] & (place[:, None, :] >= steps[:, None])
+        dropped = walk(live, sets, best, drops, steps < sets.sum(axis=1)[:, None])
+        # upsizing: append the pool's couplers in gain order
+        pool_at = rank[live][:, None, :] - start[live][:, None, None]
+        adds = sets[:, None, :] | ((pool_at >= 0) & (pool_at < steps[:, None]))
+        added = walk(live, sets, best, adds, steps <= k - start[live][:, None])
+        current[live], obj[live] = sets, best
+        start[live] += added
+        live = live[(dropped > 0) | (added > 0)]
+
+    return np.where((baseline >= obj)[:, None], 1, current).astype(np.int8)

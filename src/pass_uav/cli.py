@@ -73,13 +73,16 @@ def _out_dir(out: Path) -> Path:
     return out
 
 
-def _islr_kprime(args, scenario: scen.Scenario, activator: str):
-    """The --islr-kprime value, checked against the scenario before any work."""
+def _activator_settings(args, scenario: scen.Scenario, activator: str):
+    """The --islr-kprime value, checked against the scenario before any work,
+    as is the coupler count of exhaustive search."""
+    k = scenario.waveguide.pa_count
+    if activator == "exhaustive" and k > act.EXHAUSTIVE_MAX_K:
+        raise scen.ScenarioError(f"exhaustive search is guarded to K <= {act.EXHAUSTIVE_MAX_K}, got {k}")
     if args.islr_kprime is None:
         return None
     if activator != "islr":
         raise scen.ScenarioError(f"--islr-kprime applies to the islr activator only, not {activator}")
-    k = scenario.waveguide.pa_count
     if not 1 <= args.islr_kprime <= k:
         raise scen.ScenarioError(
             f"--islr-kprime must lie in [1, {k}], this scenario's coupler count range")
@@ -108,7 +111,7 @@ def _spec_from(args, scenario=None) -> harness.StrategySpec:
         planner=planner,
         activator=activator,
         **_planner_configs(args),
-        islr_high_count=None if scenario is None else _islr_kprime(args, scenario, activator),
+        islr_high_count=None if scenario is None else _activator_settings(args, scenario, activator),
     )
 
 
@@ -144,7 +147,7 @@ def cmd_activate(args) -> int:
     scenario = _load_scenario(args)
     spec = harness.StrategySpec(planner=args.planner, activator=args.activator,
                                 **_planner_configs(args),
-                                islr_high_count=_islr_kprime(args, scenario, args.activator))
+                                islr_high_count=_activator_settings(args, scenario, args.activator))
     if (args.position is None) == (args.slot is None):
         raise scen.ScenarioError("give exactly one of --position or --slot")
     if args.position is not None:

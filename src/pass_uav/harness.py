@@ -158,10 +158,9 @@ def solve_cycle(
         gains = mimo_gains(scenario, spec.mimo, plan.positions())
         return lb.gain_report(scenario, plan, "mimo", gains, np.zeros((0, 0), dtype=np.int8))
     channels = propagation.channel(scenario, plan.positions()) if channels is None else channels
-    _, first, where = np.unique(plan.positions(), axis=0, return_index=True, return_inverse=True)
+    first, where = plan.distinct
     rows = solve_rows(channels[first], activator, spec, *act.link_constants(scenario))
-    # NumPy 2 can return the inverse with an extra axis
-    return lb.cycle_energy(scenario, plan, rows[where.reshape(-1)], activator, channels=channels)
+    return lb.cycle_energy(scenario, plan, rows[where], activator, channels=channels)
 
 
 def run_dlo(

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -87,6 +88,14 @@ class SlotPlan:
     def positions(self) -> np.ndarray:
         """The (S, 3) block of slot positions, a view of the records."""
         return self.slots.position_m
+
+    @cached_property
+    def distinct(self) -> tuple[np.ndarray, np.ndarray]:
+        """(first, where): the first slot at each distinct position, in
+        sorted position order, and each slot's place among them; worked out
+        once per plan."""
+        _, first, where = np.unique(self.positions(), axis=0, return_index=True, return_inverse=True)
+        return first, where.reshape(-1)  # NumPy 2 can return the inverse with an extra axis
 
 
 def _slot_count(amount: float, per_slot: float) -> float:

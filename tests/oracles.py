@@ -28,6 +28,65 @@ def scalar_gain(problem, bits):
     return float(np.abs(amp) ** 2)
 
 
+def islr_reference(problem, high_count=None):
+    """Sequential ISLR oracle: the walk of `islr_optimize`, one set at a
+    time, with a memo of every set it scores, returning the best set scored
+    anywhere, the first one on ties.
+
+    It scores the all-on set, then the gain-ranked prefixes of length
+    1..high_count (ceil(K / 2) when None), keeping the first best; the pool
+    is the couplers ranked high_count and later. Each round then drops the
+    current members of least beta_k |phi_k| (ties by index) one more at a
+    time while the objective strictly rises, and appends the pool in gain
+    order the same way; it stops after a round that moved neither way, or
+    after 4K rounds.
+    """
+    k = problem.size
+    high_count = math.ceil(k / 2) if high_count is None else high_count
+    mags = np.abs(np.conj(problem.channel) * problem.response)
+    ranked = sorted(range(k), key=lambda i: (-mags[i], i))
+
+    def bits(members):
+        out = np.zeros(k, dtype=np.int8)
+        out[sorted(members)] = 1
+        return out
+
+    scored = {}  # frozenset of members -> objective, in scoring order
+
+    def score(members):
+        key = frozenset(members)
+        if key not in scored:
+            scored[key] = problem.rho * scalar_gain(problem, bits(key))
+        return scored[key]
+
+    def climb(members, obj, candidates):
+        moves = 0
+        for candidate in candidates:
+            new = score(candidate)
+            if not new > obj:
+                break
+            members, obj, moves = candidate, new, moves + 1
+        return members, obj, moves
+
+    score(range(k))
+    current, obj = [], -math.inf
+    for n in range(1, high_count + 1):
+        if score(ranked[:n]) > obj:
+            current, obj = ranked[:n], score(ranked[:n])
+    pool = ranked[high_count:]
+    for _ in range(4 * k):
+        dropped = 0
+        if len(current) >= 2:
+            beta = radiation_ratios(bits(current), problem.delta)
+            order = sorted(current, key=lambda i: (beta[i] * mags[i], i))
+            current, obj, dropped = climb(current, obj, [order[n:] for n in range(1, len(order))])
+        current, obj, added = climb(current, obj, [current + pool[:n] for n in range(1, len(pool) + 1)])
+        pool = pool[added:]
+        if not (dropped or added):
+            break
+    return bits(max(scored, key=scored.get))
+
+
 def walk_slot_count(scenario, order):
     """Step-walk oracle for the slot count of a closed tour.
 

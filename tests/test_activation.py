@@ -1,11 +1,12 @@
 import cmath
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import bitmap_digest
+from oracles import bitmap_digest, islr_reference
 
 from pass_uav import activation as act
 from pass_uav import harness
@@ -352,12 +353,9 @@ def test_islr_rows_on_flying_slots_match_one_slot_solves():
                 assert np.array_equal(row, expected)
 
 
-@settings(max_examples=60, deadline=None)
-@given(k=st.integers(min_value=1, max_value=12), rows=st.integers(min_value=1, max_value=8),
-       block_rows=st.sampled_from([act._ISLR_BLOCK_ROWS, 3, 1]), data=st.data())
-def test_islr_rows_match_islr_optimize_on_mixed_blocks(k, rows, block_rows, data):
-    # repeated rows, zero phasors and subnormal objectives in one block,
-    # searched all at once or a few rows at a time
+def _mixed_islr_block(k, rows, data):
+    """A drawn ISLR block: repeated rows, zero phasors and subnormal
+    objectives, as (channel, response, delta, rho, high_count)."""
     rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
     distinct = rng.normal(size=(rows, k)) + 1j * rng.normal(size=(rows, k))
     channel = distinct[rng.integers(0, rng.integers(1, rows + 1), size=rows)]
@@ -366,12 +364,56 @@ def test_islr_rows_match_islr_optimize_on_mixed_blocks(k, rows, block_rows, data
     delta = data.draw(st.floats(min_value=0.05, max_value=0.95))
     rho = data.draw(st.sampled_from([1.0, 1e-322, 1e-323]))
     high_count = data.draw(st.one_of(st.none(), st.integers(min_value=1, max_value=k)))
-    with mock.patch.object(act, "_ISLR_BLOCK_ROWS", block_rows):
-        block = act.islr_rows(channel, response, delta, rho, high_count)
-    assert block.dtype == np.int8 and block.shape == (rows, k)
+    return channel, response, delta, rho, high_count
+
+
+def _islr_rows_in_chunks(block_rows, channel, *args):
+    """`islr_rows` walked all at once (block_rows None) or block_rows rows at a time."""
+    k = channel.shape[1]
+    cells = act._ISLR_BLOCK_CELLS if block_rows is None else block_rows * k * k
+    with mock.patch.object(act, "_ISLR_BLOCK_CELLS", cells):
+        block = act.islr_rows(channel, *args)
+    assert block.dtype == np.int8 and block.shape == channel.shape
+    return block
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(min_value=1, max_value=12), rows=st.integers(min_value=1, max_value=8),
+       block_rows=st.sampled_from([None, 3, 1]), data=st.data())
+def test_islr_rows_match_islr_optimize_on_mixed_blocks(k, rows, block_rows, data):
+    channel, response, delta, rho, high_count = _mixed_islr_block(k, rows, data)
+    block = _islr_rows_in_chunks(block_rows, channel, response, delta, rho, high_count)
     for h, row in zip(channel, block):
         expected = act.islr_optimize(act.ActivationProblem(h, response, delta, rho), high_count)
         assert np.array_equal(row, expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(k=st.integers(min_value=1, max_value=12), rows=st.integers(min_value=1, max_value=8),
+       block_rows=st.sampled_from([None, 3, 1]), data=st.data())
+def test_islr_rows_match_the_sequential_reference(k, rows, block_rows, data):
+    # the array walks keep only each walk's current set; the reference scores
+    # one set at a time and keeps every set it scored
+    channel, response, delta, rho, high_count = _mixed_islr_block(k, rows, data)
+    block = _islr_rows_in_chunks(block_rows, channel, response, delta, rho, high_count)
+    for h, row in zip(channel, block):
+        expected = islr_reference(act.ActivationProblem(h, response, delta, rho), high_count)
+        assert np.array_equal(row, expected)
+
+
+def test_islr_rows_memory_stays_bounded_at_large_k():
+    # a walk scores up to K - 1 sets of K couplers per row; the cell cap keeps
+    # a 64-row block at K = 256 in chunks of a few rows
+    rng = np.random.default_rng(5)
+    channel = rng.normal(size=(64, 256)) + 1j * rng.normal(size=(64, 256))
+    response = np.exp(2j * np.pi * rng.random(256))
+    tracemalloc.start()
+    try:
+        act.islr_rows(channel, response, 0.3, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_islr_rows_check_high_count_once_per_block():

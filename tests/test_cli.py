@@ -445,6 +445,24 @@ def test_a_bad_islr_kprime_fails_before_any_planning(tmp_path, capsys, monkeypat
     assert not (tmp_path / "sim").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["simulate", "--strategy", "hao:exhaustive"], id="simulate"),
+    pytest.param(["activate", "--slot", "3", "--planner", "hao", "--activator", "exhaustive"],
+                 id="activate-slot"),
+    pytest.param(["activate", "--position", "30,40,5", "--activator", "exhaustive"],
+                 id="activate-position"),
+])
+def test_exhaustive_past_its_coupler_cap_fails_before_any_planning(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(harness, "plan_tour", lambda *a, **k: pytest.fail("plan_tour ran"))
+    out = ["--out", str(tmp_path / "sim")] if argv[0] == "simulate" else []
+    rc = cli.main([*argv, "--seed", "1", "--pa-count", "21", *out])
+    assert rc == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "invalid configuration: exhaustive search is guarded to K <= 20, got 21\n"
+    assert not (tmp_path / "sim").exists()
+
+
 def test_islr_kprime_at_the_coupler_count_runs(capsys):
     rc = cli.main(["activate", "--seed", "1", "--pa-count", "4", "--position", "45,5,5",
                    "--activator", "islr", "--islr-kprime", "4"])

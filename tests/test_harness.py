@@ -188,6 +188,21 @@ def test_run_dlo_builds_one_channel_block_per_plan(monkeypatch, extra, builds):
         assert alone.per_slot_power_w == report.per_slot_power_w
 
 
+def test_distinct_positions_are_found_once_per_plan(monkeypatch):
+    # every activator of a cycle, and every cell of a sweep that shares the
+    # plan, solves the same distinct positions
+    s = scen.generate_scenario(3, 3)
+    calls, real = [], np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(1) or real(*a, **k))
+    harness.run_dlo(s, fast_spec(planner="nearest_neighbor"),
+                    extra_activators=("islr", "full", "exhaustive", "mimo"))
+    assert len(calls) == 1
+    calls.clear()
+    result = harness.sweep("rate_threshold", [4.0, 5.0], ["nearest_neighbor:bnb", "nearest_neighbor:islr"],
+                           [3], node_count=3)
+    assert not result.failures and len(calls) == 1
+
+
 def test_planner_dispatch_held_karp_is_shortest():
     s = scen.generate_scenario(3, 6)
     hk, _ = harness.plan_tour(s, fast_spec(planner="held_karp"))
