@@ -31,26 +31,41 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tau", type=float, default=None, help="slot length in seconds")
 
 
+def _node_flag(nodes: int) -> int:
+    """The --nodes value, within the node ceiling."""
+    if nodes > scen.MAX_NODES:
+        raise scen.ScenarioError(f"--nodes must be at most {scen.MAX_NODES}, got {nodes}")
+    return nodes
+
+
 def _load_scenario(args) -> scen.Scenario:
+    """The scenario the flags give; --population must leave its GA population
+    within MAX_POPULATION_CELLS, checked before anything is planned."""
     if args.scenario is not None:
         s = scen.load_scenario(args.scenario)
         if any(v is not None for v in (args.pa_count, args.rth, args.delta, args.tau)):
             raise scen.ScenarioError(
                 "--pa-count/--rth/--delta/--tau apply to generated scenarios only")
-        return s
-    sizes = {} if args.pa_count is None else {"pa_count": args.pa_count}
-    overrides = {}
-    if args.rth is not None:
-        overrides["rate_threshold_bps_hz"] = args.rth
-    if args.delta is not None:
-        overrides["radiation_constant"] = args.delta
-    return scen.generate_scenario(
-        args.seed,
-        args.nodes,
-        physics_overrides=overrides,
-        slot_seconds=args.tau if args.tau is not None else 1.0,
-        **sizes,
-    )
+    else:
+        sizes = {} if args.pa_count is None else {"pa_count": args.pa_count}
+        overrides = {}
+        if args.rth is not None:
+            overrides["rate_threshold_bps_hz"] = args.rth
+        if args.delta is not None:
+            overrides["radiation_constant"] = args.delta
+        s = scen.generate_scenario(
+            args.seed,
+            _node_flag(args.nodes),
+            physics_overrides=overrides,
+            slot_seconds=args.tau if args.tau is not None else 1.0,
+            **sizes,
+        )
+    cap = route_planner.MAX_POPULATION_CELLS
+    if args.population * s.node_count > cap:
+        raise scen.ScenarioError(
+            f"--population must be at most {cap // s.node_count} at {s.node_count} nodes, got "
+            f"{args.population}: a GA population holds at most {cap} tour cells")
+    return s
 
 
 def _out_path(raw: str) -> Path:
@@ -232,7 +247,7 @@ def cmd_benchmark(args) -> int:
     values = [harness.SWEEP_VARIABLES[args.variable](v) for v in args.values.split(",") if v]
     seeds = _parse_seeds(args.seeds)
     out = _out_path(args.out)
-    result = harness.sweep(args.variable, values, strategies, seeds, node_count=args.nodes)
+    result = harness.sweep(args.variable, values, strategies, seeds, node_count=_node_flag(args.nodes))
     path = _out_dir(out) / f"sweep_{args.variable}.csv"
     harness.write_sweep_csv(path, result)
     print(f"wrote {path}")

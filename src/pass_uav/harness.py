@@ -244,7 +244,8 @@ def sweep(
     """Cycle energy of every (value, seed, strategy) cell over one swept variable.
 
     Bad inputs raise ValueError before any cell runs, among them a value that
-    its variable's SWEEP_VARIABLES type would change (4.5 for pa_count).
+    its variable's SWEEP_VARIABLES type would change (4.5 for pa_count) and a
+    node_count past scenario.MAX_NODES.
     Each (planner, seed, node count) is planned once for the whole sweep: the
     rate threshold and the coupler count leave a seed's nodes and GA stream
     as they are, so every value shares its tour and slot plan. A cell that
@@ -260,6 +261,8 @@ def sweep(
             kept = False
         if not kept:
             raise ValueError(f"{variable} takes {kind.__name__} values, not {value!r}")
+        if variable == "node_count" and value > scen.MAX_NODES:
+            raise ValueError(f"node_count takes at most {scen.MAX_NODES} nodes, not {value}")
     for name, given in (("values", values), ("strategies", strategies), ("seeds", seeds)):
         if not given:
             raise ValueError(f"{name} must be nonempty")

@@ -20,8 +20,15 @@ import numpy as np
 from .scenario import Scenario
 
 HELD_KARP_MAX_NODES = 16
+# Most (N, M) cells a GA population may hold, N tours of M nodes: a HAO
+# round's population, work buffers and costing peak at 34-42 bytes a cell,
+# under 400 MB at the cap
+MAX_POPULATION_CELLS = 1 << 23
 # hao_plan stops after this many rounds in a row without improvement
 STALL_LIMIT = 3
+# hao_plan checks a new best tour for optimality (`_unbeatable`) up to this
+# many nodes; past it the check's Held-Karp DP costs more than the rounds it saves
+CERTIFY_MAX_NODES = 12
 
 
 @dataclass(frozen=True)
@@ -425,14 +432,18 @@ def hao_plan(
     Refined candidates are injected into the next round's population; the loop
     stops after ``max_iterations`` rounds or once the best cost has not
     improved for ``STALL_LIMIT`` consecutive rounds. The recorded trace is the
-    running best, hence non-increasing.
+    running best, hence non-increasing. Up to ``CERTIFY_MAX_NODES`` nodes, a
+    new best that `_unbeatable` certifies ends the loop at once, with the
+    trace entries of the stall rounds that would follow: tour and trace are
+    the full loop's, and only ``rng`` is drawn less.
     """
     _check_window(dist, hao_cfg.subpath_length)
+    certify = dist.shape[0] - 1 <= CERTIFY_MAX_NODES
     best: Optional[Tour] = None
     trace: list[float] = []
     injected: Optional[list[Tour]] = None
     stall = 0
-    for _ in range(hao_cfg.max_iterations):
+    for left in reversed(range(hao_cfg.max_iterations)):  # rounds left after this one
         candidates = ga_explore(dist, ga_cfg, rng, seed_population=injected)
         refined = _refine_tours(dist, candidates, hao_cfg.subpath_length)
         it_best = min(refined, key=lambda t: t.total_distance_m)
@@ -444,9 +455,32 @@ def hao_plan(
         trace.append(best.total_distance_m)
         if stall >= STALL_LIMIT:
             break
+        if certify and stall == 0 and left and _unbeatable(dist, best):
+            # no later round can improve on best: record the stall rounds it would run
+            trace.extend([best.total_distance_m] * min(STALL_LIMIT, left))
+            break
         injected = refined
     assert best is not None
     return HaoResult(tour=best, best_distance_trace=tuple(trace))
+
+
+def _unbeatable(dist: np.ndarray, tour: Tour) -> bool:
+    """Whether no tour costs less than ``tour`` on ``dist``, as
+    `_orders_distance` sums it. Its reversal must not, and Held-Karp must
+    still pick it, either way round, once each of its edges is lengthened in
+    both directions by e = 4 (M+1) eps cost: any other tour shares at most
+    M-1 of them, so it is at least about 2e longer, far past the (M+1)-term
+    rounding of either sum."""
+    m = dist.shape[0] - 1
+    order = np.asarray(tour.order)
+    if _orders_distance(order[None, ::-1], dist)[0] < tour.total_distance_m:
+        return False
+    path = np.concatenate(([m], order, [m]))
+    bumped = dist.copy()
+    e = 4 * (m + 1) * np.finfo(float).eps * tour.total_distance_m
+    bumped[path[:-1], path[1:]] += e
+    bumped[path[1:], path[:-1]] += e
+    return held_karp(bumped).order in (tour.order, tour.order[::-1])
 
 
 def held_karp(dist: np.ndarray) -> Tour:

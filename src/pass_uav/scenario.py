@@ -34,6 +34,9 @@ DELIVERY_SPEED_TPS = 0.5
 # Largest coordinate magnitude a scenario may hold, in meters: the squared
 # distance between any two points, at most 3 * (2e150)**2, stays a finite float.
 MAX_COORDINATE_M = 1e150
+# Most delivery nodes a scenario may hold: `distance_matrix` builds its (M+1)^2
+# matrix through an (M+1)^2 x 3 difference block, about 256 MB at the cap.
+MAX_NODES = 2048
 
 
 class ScenarioError(ValueError):
@@ -202,6 +205,8 @@ class Scenario:
             )
         if not self.nodes:
             raise ScenarioError("scenario needs at least one delivery node")
+        if len(self.nodes) > MAX_NODES:
+            raise ScenarioError(f"a scenario holds at most {MAX_NODES} delivery nodes, not {len(self.nodes)}")
         _require_finite(self, ("flight_speed_mps", "delivery_speed_tps", "slot_seconds"))
         if self.flight_speed_mps <= 0:
             raise ScenarioError("flight_speed_mps must be positive")
@@ -265,6 +270,8 @@ def generate_scenario(
     """
     if node_count < 1:
         raise ScenarioError("node_count must be >= 1")
+    if node_count > MAX_NODES:
+        raise ScenarioError(f"node_count must be at most {MAX_NODES}, got {node_count}")
     if pa_count < 1:
         raise ScenarioError("pa_count must be >= 1")
     streams = _streams(seed)

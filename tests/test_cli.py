@@ -700,6 +700,76 @@ def test_subpath_past_the_window_cap_exits_before_planning(tmp_path, capsys, mon
     assert "Traceback" not in err and not out.exists()
 
 
+class _Built(Exception):
+    """Raised in place of building a distance matrix or a GA population."""
+
+
+def _fail_on_build(monkeypatch):
+    def built(*args, **kwargs):
+        raise _Built
+
+    monkeypatch.setattr(rp, "distance_matrix", built)
+    monkeypatch.setattr(rp, "_initial_population", built)
+
+
+_PAST_POPULATION = str(rp.MAX_POPULATION_CELLS // 10 + 1)
+
+
+@pytest.mark.parametrize("argv, message", [
+    pytest.param(["plan", "--nodes", "2049"], "--nodes must be at most 2048, got 2049", id="plan-nodes"),
+    pytest.param(["simulate", "--nodes", "2049"], "--nodes must be at most 2048", id="simulate-nodes"),
+    pytest.param(["activate", "--slot", "0", "--planner", "hao", "--nodes", "2049"],
+                 "--nodes must be at most 2048", id="activate-nodes"),
+    pytest.param(["benchmark", *_SWEEP, "--nodes", "2049"], "--nodes must be at most 2048",
+                 id="benchmark-nodes"),
+    pytest.param(["benchmark", "--variable", "node_count", "--values", "2,2049",
+                  "--strategies", "nearest_neighbor:full", "--seeds", "1"],
+                 "node_count takes at most 2048 nodes, not 2049", id="benchmark-node-count"),
+    pytest.param(["plan", "--population", _PAST_POPULATION],
+                 f"--population must be at most 838860 at 10 nodes, got {_PAST_POPULATION}: "
+                 "a GA population holds at most 8388608 tour cells", id="plan-population"),
+    pytest.param(["simulate", "--population", _PAST_POPULATION], "--population must be at most 838860",
+                 id="simulate-population"),
+    pytest.param(["activate", "--position", "30,40,5", "--population", _PAST_POPULATION],
+                 "--population must be at most 838860", id="activate-population"),
+])
+def test_sizes_past_their_ceilings_exit_before_anything_is_built(tmp_path, capsys, monkeypatch,
+                                                                 argv, message):
+    _fail_on_build(monkeypatch)
+    out = tmp_path / "out"
+    rc = cli.main([*argv, "--seed", "1"] + ([] if argv[0] == "activate" else ["--out", str(out)]))
+    captured = capsys.readouterr()
+    assert rc == cli.EXIT_CONFIG
+    assert message in captured.err
+    assert "Traceback" not in captured.err and captured.out == "" and not out.exists()
+
+
+def test_a_scenario_file_past_the_node_ceiling_exits_before_anything_is_built(
+        tmp_path, capsys, monkeypatch):
+    _fail_on_build(monkeypatch)
+    data = scen.scenario_to_dict(scen.generate_scenario(1, 1))
+    data["nodes"] = data["nodes"] * (scen.MAX_NODES + 1)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    rc = cli.main(["plan", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG
+    assert "a scenario holds at most 2048 delivery nodes, not 2049" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["plan", "--nodes", "2048"], id="plan-nodes"),
+    pytest.param(["activate", "--slot", "0", "--planner", "hao", "--nodes", "2048"], id="activate-nodes"),
+    pytest.param(["benchmark", *_SWEEP, "--nodes", "2048"], id="benchmark-nodes"),
+    pytest.param(["simulate", "--population", str(rp.MAX_POPULATION_CELLS // 10)],
+                 id="simulate-population"),
+])
+def test_sizes_at_their_ceilings_are_planned(tmp_path, monkeypatch, argv):
+    _fail_on_build(monkeypatch)
+    with pytest.raises(_Built):
+        cli.main([*argv, "--seed", "1"] + ([] if argv[0] == "activate" else ["--out", str(tmp_path)]))
+
+
 def test_huge_task_count_exits_through_the_slot_cap(tmp_path):
     # the count is printed to 6 digits: just past the cap, 2e30 slots, and two
     # hovers of 1.6e308 slots each, whose sum is past the float range

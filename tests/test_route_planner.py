@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import itertools
 from unittest import mock
@@ -378,6 +379,92 @@ def test_hao_matches_held_karp_on_small_instances():
     assert hits >= 5
 
 
+def _points_matrix(points):
+    points = np.asarray(points, dtype=float)
+    return np.linalg.norm(points[:, None, :] - points[None, :, :], axis=2)
+
+
+def _certificate_instance(kind, m, rng):
+    """A symmetric (M+1)x(M+1) matrix: random floats, Euclidean distances of
+    integer-lattice points (many tours tie) or of points some of which repeat."""
+    if kind == "floats":
+        upper = np.triu(rng.random((m + 1, m + 1)), 1)
+        return upper + upper.T
+    if kind == "lattice":
+        return _points_matrix(rng.integers(0, 3, (m + 1, 2)))
+    points = rng.random((m + 1, 3)) * 100.0
+    copies = rng.integers(0, m + 1, (rng.integers(1, m + 2), 2))
+    points[copies[:, 0]] = points[copies[:, 1]]
+    return _points_matrix(points)
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(["floats", "lattice", "duplicates"]),
+       m=st.integers(min_value=1, max_value=7), seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_a_certified_tour_has_no_cheaper_permutation(kind, m, seed):
+    rng = np.random.default_rng(seed)
+    dist = _certificate_instance(kind, m, rng)
+    perms = np.array(list(itertools.permutations(range(m))))
+    costs = rp._orders_distance(perms, dist)
+    # the cheapest tours, their reversals and a random one: near-ties included
+    picks = [*perms[costs.argsort(kind="stable")[:6]], perms[rng.integers(len(perms))]]
+    for order in picks + [p[::-1] for p in picks]:
+        tour = rp.make_tour(dist, order)
+        if rp._unbeatable(dist, tour):
+            assert not (costs < tour.total_distance_m).any(), (tour, costs.min())
+    if kind == "floats":  # no near-ties: the optimum, in its cheaper direction, is certified
+        assert rp._unbeatable(dist, rp.make_tour(dist, perms[costs.argmin()]))
+
+
+_SMALL_GA = [rp.GaConfig(population_size=2, crossover_prob=1.0, mutation_prob=1.0, generations=3),
+             rp.GaConfig(population_size=10, generations=6),
+             rp.GaConfig(population_size=30, crossover_prob=1.0, mutation_prob=0.2, generations=5)]
+
+
+def _plan_both_ways(dist, ga, hao, seed):
+    """hao_plan with the certificate and with it always refusing, as the
+    tour's order and the trace's reprs of each."""
+    runs = []
+    for refuse in (False, True):
+        with mock.patch.object(rp, "_unbeatable", return_value=False) if refuse else contextlib.nullcontext():
+            result = rp.hao_plan(dist, ga, hao, np.random.default_rng(seed))
+        runs.append((result.tour.order, tuple(repr(float(t)) for t in result.best_distance_trace)))
+    return runs
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 10, 12])
+def test_the_certificate_leaves_small_plans_unchanged(m):
+    for seed in range(4):
+        for ga in _SMALL_GA:
+            for hao in (rp.HaoConfig(max_iterations=2), rp.HaoConfig(max_iterations=6, subpath_length=4)):
+                certified, full = _plan_both_ways(_dist(seed, m), ga, hao, seed)
+                assert certified == full, (seed, ga, hao)
+
+
+def test_the_certificate_leaves_default_plans_unchanged():
+    for seed in (1, 2, 3):
+        certified, full = _plan_both_ways(_dist(seed, 10), rp.GaConfig(), rp.HaoConfig(), seed)
+        assert certified == full, seed
+
+
+def test_the_certificate_skips_at_least_two_fifths_of_the_default_rounds():
+    # a trace holds one entry per round that HAO runs without the certificate
+    explore, calls, rounds = rp.ga_explore, [], 0
+    with mock.patch.object(rp, "ga_explore", lambda *a, **k: calls.append(1) or explore(*a, **k)):
+        for seed in range(1, 21):
+            result = rp.hao_plan(_dist(seed, 10), rp.GaConfig(), rp.HaoConfig(),
+                                 np.random.default_rng(seed))
+            rounds += len(result.best_distance_trace)
+    assert len(calls) <= 0.6 * rounds, (len(calls), rounds)
+
+
+def test_no_certificate_past_its_node_cap():
+    dist = _dist(3, rp.CERTIFY_MAX_NODES + 1)
+    with mock.patch.object(rp, "held_karp", side_effect=AssertionError("held_karp ran")):
+        result = rp.hao_plan(dist, _SMALL_GA[1], rp.HaoConfig(max_iterations=3), np.random.default_rng(3))
+    assert sorted(result.tour.order) == list(range(rp.CERTIFY_MAX_NODES + 1))
+
+
 def test_tour_distance_cache_is_consistent():
     # make_tour costs station -> order -> station on the matrix it is given
     dist = _dist(1, 6)
@@ -558,10 +645,13 @@ GOLDEN_GA = {
 }
 
 # As GOLDEN_GA, for hao_plan: the tour's order, the trace and the next draw.
+# At M = 1 and 3 the first round's tour is certified optimal, so HAO stops
+# after that one round: their next draws were re-recorded when the
+# certificate came in (the orders and traces are the earlier recordings).
 # Key: (M, population, crossover_prob, mutation_prob, generations, max_iterations).
 GOLDEN_HAO = {
-    (1, 2, 1.0, 1.0, 3, 2): ((0,), ("160.29670746754283",) * 2, "0.994365591718783"),
-    (3, 10, 1.0, 1.0, 6, 3): ((1, 0, 2), ("283.7465239738062",) * 3, "0.05334691417533943"),
+    (1, 2, 1.0, 1.0, 3, 2): ((0,), ("160.29670746754283",) * 2, "0.8913574298723872"),
+    (3, 10, 1.0, 1.0, 6, 3): ((1, 0, 2), ("283.7465239738062",) * 3, "0.6335304714755546"),
     (10, 10, 1.0, 1.0, 8, 4): (
         (6, 8, 1, 5, 7, 4, 3, 0, 2, 9),
         ("370.29102207751924",) + ("346.28066324992346",) * 3,
@@ -596,6 +686,15 @@ def test_edge_hao_runs_are_unchanged(key):
     assert result.tour.order == order
     assert tuple(repr(float(t)) for t in result.best_distance_trace) == trace
     assert repr(rng.random()) == next_draw
+
+
+@pytest.mark.parametrize("key", [(1, 2, 1.0, 1.0, 3, 2), (3, 10, 1.0, 1.0, 6, 3)])
+def test_certified_hao_runs_draw_one_round(key):
+    """The certified edge runs leave the generator where one `ga_explore`
+    call leaves it, so their re-recorded draws pin the random stream."""
+    dist, cfg, rng = _edge_config(*key[:5])
+    rp.ga_explore(dist, cfg, rng)
+    assert repr(rng.random()) == GOLDEN_HAO[key][2]
 
 
 # As GOLDEN_GA, off the default selection probability, recorded before the
