@@ -31,8 +31,9 @@ included, and a slot costs O(K^2) point steps instead of 2^K. `exact_rows`
 takes this step for a block of slots at once, one array step per coupler. A
 row whose floats are too close to a degenerate case to trust the step (a zero
 phasor, a visibility or convexity determinant within 1e-12 relative of zero,
-a seen chain in more than one run, a best |z|^2 of zero, K above 62, a delta
-so small that c rounds to 1) is solved by `bnb_optimize`, which carries the
+a seen chain in more than one run, a best |z|^2 of zero, two best |z|^2
+within rounding of each other, K above 62, a delta so small that c rounds
+to 1) is solved by `bnb_optimize`, which carries the
 hull without the origin through a monotone chain with exact orientation signs
 and so takes any input.
 
@@ -70,6 +71,10 @@ EXHAUSTIVE_MAX_K = 20
 # its products may have underflowed, gets its sign recomputed exactly.
 _ORIENT_REL_ERR = 1e-15
 _ORIENT_TINY = 1e-290
+# A float |z|^2 of K couplers lies within about 4 K^2 ulps of its exact value,
+# so two |z|^2 within _TIE_REL * (K^2 + 1) of the larger may be misordered:
+# the solvers rank such near ties by their exact values.
+_TIE_REL = 1e-15
 # `exact_rows` sends a row to `bnb_optimize` when one of its float
 # determinants lies within this fraction of the sum of its products' sizes.
 _BATCH_REL_TOL = 1e-12
@@ -162,12 +167,39 @@ def _amplitudes(bits, problem: ActivationProblem) -> np.ndarray:
     return amp
 
 
+def _exact_powers(bits, problem: ActivationProblem) -> list:
+    """|z|^2 of each activation of an (N, K) stack in rationals: the sum of
+    `_amplitudes` from the same float radiated phasors and c, without its
+    rounding. Equal partial sums are carried once, so activations that share
+    a tail, or differ only in silent couplers, cost one sum."""
+    c = Fraction(math.sqrt(1.0 - problem.delta * problem.delta))
+    radiated = (problem.delta * _scaled_phasors(problem.phasors)).tolist()
+    sums, ids = [(Fraction(0), Fraction(0))], np.zeros(len(bits), dtype=np.int64)
+    for k in reversed(range(problem.size)):
+        steps, inverse = np.unique(2 * ids + bits[:, k], return_inverse=True)
+        tx, ty = Fraction(radiated[k].real), Fraction(radiated[k].imag)
+        made: dict = {}
+        remap = []
+        for step in steps.tolist():
+            x, y = sums[step >> 1]
+            if step & 1:
+                x, y = tx + c * x, ty + c * y
+            remap.append(made.setdefault((x, y), len(made)))
+        sums = list(made)
+        ids = np.asarray(remap)[inverse.ravel()]
+    powers = [x * x + y * y for x, y in sums]
+    return [powers[i] for i in ids.tolist()]
+
+
 def exhaustive_best(problem: ActivationProblem) -> np.ndarray:
     """Global argmax over all 2^K activations, excluding the infeasible zero vector.
 
     Activations are ranked by |amplitude|^2, which orders them as the
-    objective does (rho > 0). Ties resolve to the smallest activated count,
-    then the lexicographically smallest bitmap.
+    objective does (rho > 0). Two whose float |z|^2 lie within rounding of
+    each other are ranked by `_exact_powers`, so that rounding does not pick,
+    say, an extra silent coupler that only shrinks the amplitude. Ties
+    resolve to the smallest activated count, then the lexicographically
+    smallest bitmap.
     """
     k = problem.size
     if k > EXHAUSTIVE_MAX_K:
@@ -175,7 +207,11 @@ def exhaustive_best(problem: ActivationProblem) -> np.ndarray:
     bits = _all_bitmaps(k)[1:]
     amps = _amplitudes(bits, problem)
     power = amps.real**2 + amps.imag**2
-    tied = bits[power == power.max()]
+    tied = bits[power >= power.max() * (1.0 - _TIE_REL * (k * k + 1))]
+    if len(tied) > 1:
+        exact = _exact_powers(tied, problem)
+        top = max(exact)
+        tied = tied[[e == top for e in exact]]
     rows = sorted((int(row.sum()), tuple(int(b) for b in row)) for row in tied)
     return np.asarray(rows[0][1], dtype=np.int8)
 
@@ -257,12 +293,12 @@ def bnb_optimize(problem: ActivationProblem, trace: Optional[BnbTrace] = None) -
 
     Returns the activation `exhaustive_best` returns, ties included: the
     points carry the oracle's own float amplitudes, and the winner is the
-    largest |z|^2, then the fewest active couplers, then the
-    lexicographically smallest bitmap. The two can differ only by rounding: a
-    point dropped from a hull edge is strictly weaker in exact arithmetic,
-    yet its |z|^2 can round equal to the optimum's when the two lie within an
-    ulp. Both score the `_scaled_phasors`, so tiny phasors do not tie every
-    |z|^2 at an underflowed zero.
+    largest |z|^2, near ties ranked by `_exact_powers`, then the fewest
+    active couplers, then the lexicographically smallest bitmap. A point
+    dropped from a hull edge is strictly weaker in exact arithmetic, and the
+    oracle ranks it so even where its float |z|^2 rounds past the optimum's.
+    Both score the `_scaled_phasors`, so tiny phasors do not tie every |z|^2
+    at an underflowed zero.
     """
     k = problem.size
     c = math.sqrt(1.0 - problem.delta * problem.delta)
@@ -280,8 +316,18 @@ def bnb_optimize(problem: ActivationProblem, trace: Optional[BnbTrace] = None) -
         if trace is not None:
             trace.boxes_created += len(points)
         hull = _hull(points + hull, trace)
-    key = min((-(x * x + y * y), n, key) for x, y, n, key in hull)[2]
-    return np.array([(key >> (k - 1 - j)) & 1 for j in range(k)], dtype=np.int8)
+    best = max(x * x + y * y for x, y, _, _ in hull)
+    tied = [p for p in hull if p[0] * p[0] + p[1] * p[1] >= best * (1.0 - _TIE_REL * (k * k + 1))]
+    if len(tied) > 1:
+        exact = _exact_powers(np.array([_key_bits(p[3], k) for p in tied]), problem)
+        top = max(exact)
+        tied = [p for p, e in zip(tied, exact) if e == top]
+    return np.array(_key_bits(min((n, key) for _, _, n, key in tied)[1], k), dtype=np.int8)
+
+
+def _key_bits(key: int, k: int) -> list:
+    """The bitmap whose coupler j is bit K-1-j of key."""
+    return [(key >> (k - 1 - j)) & 1 for j in range(k)]
 
 
 def _hull_rows(phasors: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -292,7 +338,8 @@ def _hull_rows(phasors: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarra
     Row i carries the first n[i] columns of its x, y, count and key arrays as
     the counter-clockwise vertices of its hull, the origin included. Images
     are made with the scalar DP's float operations, so an activation has the
-    same float amplitude in both, and the winner is picked by the same rule.
+    same float amplitude in both, and the winner is picked by the same rule;
+    a row with a near tie in |z|^2 is left to `bnb_optimize`.
     """
     rows_n, k = phasors.shape
     c = math.sqrt(1.0 - delta * delta)
@@ -360,6 +407,14 @@ def _hull_rows(phasors: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarra
     power = np.where((cols < n[:, None]) & (count > 0), x * x + y * y, -1.0)
     best = power.max(axis=1)
     flagged |= ~(best > 0)
+    # near ties are ranked in rationals by `bnb_optimize`, save those of
+    # single couplers with the same |x| and |y| (mirror images), whose
+    # |z|^2 are exactly equal
+    near = power >= (best * (1.0 - _TIE_REL * (k * k + 1)))[:, None]
+    lo, hi = np.minimum(np.abs(x), np.abs(y)), np.maximum(np.abs(x), np.abs(y))
+    top = np.argmax(power, axis=1)[:, None]
+    mirror = (count == 1) & (lo == at(lo, top)) & (hi == at(hi, top))
+    flagged |= np.any(near & ~mirror, axis=1) & (np.sum(near, axis=1) > 1)
     tied = power == best[:, None]
     tied &= count == np.where(tied, count, k + 1).min(axis=1)[:, None]
     win = np.where(tied, key, np.iinfo(np.int64).max).min(axis=1)

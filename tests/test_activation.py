@@ -218,12 +218,12 @@ def test_exact_rows_fall_back_where_the_array_step_cannot_go(pa_count, delta):
         # every |z|^2 would underflow to a tie at zero without the phasor scaling
         (np.array([1, 1j, -1 - 1j, 0.01]) * 1e-170, [0, 0, 1, 0]),
         # twin pairs of near-unit phasors whose |z|^2 differ by about 2e-16
-        # relative: the order of the float sums decides, and both solvers
-        # take the pair that the Horner sum rounds ahead
+        # relative: the Horner sum rounds the second pair ahead, but in exact
+        # arithmetic the first pair is larger, and both solvers take it
         (
             [-0.5871085843732176 - 0.8095081902953648j] * 2
             + [0.06740733775696808 + 0.9977255388214326j] * 2,
-            [0, 0, 1, 1],
+            [1, 1, 0, 0],
         ),
     ],
 )
@@ -234,6 +234,21 @@ def test_bnb_ties_resolve_like_exhaustive(phasors, expected):
     )
     assert act.exhaustive_best(pr).tolist() == expected
     assert act.bnb_optimize(pr).tolist() == expected
+
+
+def test_rounding_does_not_pick_a_dominated_activation():
+    # adding the silent coupler 9 only scales coupler 10's tiny term by c, and
+    # so lowers |z|^2 in exact arithmetic, yet its float |z|^2 rounds one ulp
+    # higher; the oracle, the hull DP and the array step all leave it out
+    row = [0j] * 7 + [cmath.rect(279.0, 0.125), cmath.rect(277.0, 0.5), 0j,
+                      cmath.rect(1.0000000000000002e-06, -1.25)]
+    phasors, delta, expected = np.array(row), 0.001953125, [0] * 7 + [1, 1, 0, 1]
+    pr = act.ActivationProblem(channel=np.conj(phasors), response=np.ones(11), delta=delta, rho=1.0)
+    worse = np.array([0] * 7 + [1, 1, 1, 1])
+    assert pr.gain(worse) > pr.gain(np.array(expected))
+    assert act.exhaustive_best(pr).tolist() == expected
+    assert act.bnb_optimize(pr).tolist() == expected
+    assert act.exact_rows(np.conj(phasors)[None], np.ones(11), delta, 1.0).tolist() == [expected]
 
 
 def test_bnb_k32_is_flip_optimal():
