@@ -31,11 +31,10 @@ included, and a slot costs O(K^2) point steps instead of 2^K. `exact_rows`
 takes this step for a block of slots at once, one array step per coupler. A
 row whose floats are too close to a degenerate case to trust the step (a zero
 phasor, a visibility or convexity determinant within 1e-12 relative of zero,
-a seen chain in more than one run, a best |z|^2 of zero, two best |z|^2
-within rounding of each other, K above 62, a delta so small that c rounds
-to 1) is solved by `bnb_optimize`, which carries the
+a seen chain in more than one run, a best |z|^2 of zero, K above 62, a delta
+so small that c rounds to 1) is solved by `bnb_optimize`, which carries the
 hull without the origin through a monotone chain with exact orientation signs
-and so takes any input.
+and so takes any input. All three exact solvers pick their winner by `_pick`.
 
 `bnb_optimize` keeps its name from the branch and bound it replaced, so that
 the `bnb` activator label, and every output that carries it, stays as it was.
@@ -73,7 +72,7 @@ _ORIENT_REL_ERR = 1e-15
 _ORIENT_TINY = 1e-290
 # A float |z|^2 of K couplers lies within about 4 K^2 ulps of its exact value,
 # so two |z|^2 within _TIE_REL * (K^2 + 1) of the larger may be misordered:
-# the solvers rank such near ties by their exact values.
+# `_pick` ranks such near ties by their exact values.
 _TIE_REL = 1e-15
 # `exact_rows` sends a row to `bnb_optimize` when one of its float
 # determinants lies within this fraction of the sum of its products' sizes.
@@ -146,7 +145,7 @@ def _scaled_phasors(phasors: np.ndarray) -> np.ndarray:
     """Each row of phasors (last axis) over 2^e, e the binary exponent of its
     largest |phi| (none if all are zero), so that the solvers' |z|^2 cannot
     underflow. A power-of-two scale is exact, so it changes no ranking."""
-    phasors = np.asarray(phasors, dtype=np.complex128)
+    phasors = np.ascontiguousarray(phasors, dtype=np.complex128)  # `view` needs it
     exponent = np.frexp(np.max(np.abs(phasors), axis=-1, initial=0.0))[1]  # 0 for a zero peak
     return np.ldexp(phasors.view(np.float64), -exponent[..., None]).view(np.complex128)
 
@@ -167,15 +166,15 @@ def _amplitudes(bits, problem: ActivationProblem) -> np.ndarray:
     return amp
 
 
-def _exact_powers(bits, problem: ActivationProblem) -> list:
+def _exact_powers(bits, phasors, delta: float) -> list:
     """|z|^2 of each activation of an (N, K) stack in rationals: the sum of
     `_amplitudes` from the same float radiated phasors and c, without its
     rounding. Equal partial sums are carried once, so activations that share
     a tail, or differ only in silent couplers, cost one sum."""
-    c = Fraction(math.sqrt(1.0 - problem.delta * problem.delta))
-    radiated = (problem.delta * _scaled_phasors(problem.phasors)).tolist()
+    c = Fraction(math.sqrt(1.0 - delta * delta))
+    radiated = (delta * _scaled_phasors(phasors)).tolist()
     sums, ids = [(Fraction(0), Fraction(0))], np.zeros(len(bits), dtype=np.int64)
-    for k in reversed(range(problem.size)):
+    for k in reversed(range(len(radiated))):
         steps, inverse = np.unique(2 * ids + bits[:, k], return_inverse=True)
         tx, ty = Fraction(radiated[k].real), Fraction(radiated[k].imag)
         made: dict = {}
@@ -191,29 +190,33 @@ def _exact_powers(bits, problem: ActivationProblem) -> list:
     return [powers[i] for i in ids.tolist()]
 
 
+def _pick(bits, power, phasors, delta: float) -> np.ndarray:
+    """The winner among candidate (N, K) bitmaps of float |z|^2 `power`: the
+    largest, those within rounding of it ranked by `_exact_powers` (so that
+    rounding does not pick, say, an extra silent coupler that only shrinks
+    the amplitude), then the fewest active couplers, then the smallest bitmap.
+    """
+    k = bits.shape[1]
+    bits = bits[power >= power.max() * (1.0 - _TIE_REL * (k * k + 1))]
+    if len(bits) > 1:
+        exact = _exact_powers(bits, phasors, delta)
+        top = max(exact)
+        bits = bits[[e == top for e in exact]]
+    return np.asarray(min(bits.tolist(), key=lambda row: (sum(row), row)), dtype=np.int8)
+
+
 def exhaustive_best(problem: ActivationProblem) -> np.ndarray:
     """Global argmax over all 2^K activations, excluding the infeasible zero vector.
 
     Activations are ranked by |amplitude|^2, which orders them as the
-    objective does (rho > 0). Two whose float |z|^2 lie within rounding of
-    each other are ranked by `_exact_powers`, so that rounding does not pick,
-    say, an extra silent coupler that only shrinks the amplitude. Ties
-    resolve to the smallest activated count, then the lexicographically
-    smallest bitmap.
+    objective does (rho > 0), and the winner is picked by `_pick`.
     """
     k = problem.size
     if k > EXHAUSTIVE_MAX_K:
         raise ValueError(f"exhaustive search is guarded to K <= {EXHAUSTIVE_MAX_K}, got {k}")
     bits = _all_bitmaps(k)[1:]
     amps = _amplitudes(bits, problem)
-    power = amps.real**2 + amps.imag**2
-    tied = bits[power >= power.max() * (1.0 - _TIE_REL * (k * k + 1))]
-    if len(tied) > 1:
-        exact = _exact_powers(tied, problem)
-        top = max(exact)
-        tied = tied[[e == top for e in exact]]
-    rows = sorted((int(row.sum()), tuple(int(b) for b in row)) for row in tied)
-    return np.asarray(rows[0][1], dtype=np.int8)
+    return _pick(bits, amps.real**2 + amps.imag**2, problem.phasors, problem.delta)
 
 
 # ---------------------------------------------------------------------------
@@ -292,13 +295,12 @@ def bnb_optimize(problem: ActivationProblem, trace: Optional[BnbTrace] = None) -
     """Exact argmax of the objective by the convex-hull DP (see the module docstring).
 
     Returns the activation `exhaustive_best` returns, ties included: the
-    points carry the oracle's own float amplitudes, and the winner is the
-    largest |z|^2, near ties ranked by `_exact_powers`, then the fewest
-    active couplers, then the lexicographically smallest bitmap. A point
-    dropped from a hull edge is strictly weaker in exact arithmetic, and the
-    oracle ranks it so even where its float |z|^2 rounds past the optimum's.
-    Both score the `_scaled_phasors`, so tiny phasors do not tie every |z|^2
-    at an underflowed zero.
+    points carry the oracle's own float amplitudes, and `_pick` chooses
+    among the final hull's vertices as the oracle does among all 2^K - 1
+    activations. A point dropped from a hull edge is strictly weaker in
+    exact arithmetic, and `_pick` ranks it so even where its float |z|^2
+    rounds past the optimum's. Both score the `_scaled_phasors`, so tiny
+    phasors do not tie every |z|^2 at an underflowed zero.
     """
     k = problem.size
     c = math.sqrt(1.0 - problem.delta * problem.delta)
@@ -316,18 +318,16 @@ def bnb_optimize(problem: ActivationProblem, trace: Optional[BnbTrace] = None) -
         if trace is not None:
             trace.boxes_created += len(points)
         hull = _hull(points + hull, trace)
-    best = max(x * x + y * y for x, y, _, _ in hull)
-    tied = [p for p in hull if p[0] * p[0] + p[1] * p[1] >= best * (1.0 - _TIE_REL * (k * k + 1))]
-    if len(tied) > 1:
-        exact = _exact_powers(np.array([_key_bits(p[3], k) for p in tied]), problem)
-        top = max(exact)
-        tied = [p for p, e in zip(tied, exact) if e == top]
-    return np.array(_key_bits(min((n, key) for _, _, n, key in tied)[1], k), dtype=np.int8)
+    power = np.array([x * x + y * y for x, y, _, _ in hull])
+    return _pick(_key_bits([p[3] for p in hull], k), power, problem.phasors, problem.delta)
 
 
-def _key_bits(key: int, k: int) -> list:
-    """The bitmap whose coupler j is bit K-1-j of key."""
-    return [(key >> (k - 1 - j)) & 1 for j in range(k)]
+def _key_bits(keys, k: int) -> np.ndarray:
+    """(N, K) int8 bitmaps of N keys: coupler j is bit K-1-j of its key."""
+    width = (k + 7) // 8
+    raw = b"".join(int(key).to_bytes(width, "big") for key in keys)
+    grid = np.frombuffer(raw, dtype=np.uint8).reshape(len(keys), width)
+    return np.unpackbits(grid, axis=1)[:, width * 8 - k :].astype(np.int8)
 
 
 def _hull_rows(phasors: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -338,8 +338,9 @@ def _hull_rows(phasors: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarra
     Row i carries the first n[i] columns of its x, y, count and key arrays as
     the counter-clockwise vertices of its hull, the origin included. Images
     are made with the scalar DP's float operations, so an activation has the
-    same float amplitude in both, and the winner is picked by the same rule;
-    a row with a near tie in |z|^2 is left to `bnb_optimize`.
+    same float amplitude in both. The winner is the vertex of largest |z|^2;
+    a row with a near tie in |z|^2 passes its near-tied vertices to `_pick`,
+    the scalar DP's own rule.
     """
     rows_n, k = phasors.shape
     c = math.sqrt(1.0 - delta * delta)
@@ -407,19 +408,11 @@ def _hull_rows(phasors: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarra
     power = np.where((cols < n[:, None]) & (count > 0), x * x + y * y, -1.0)
     best = power.max(axis=1)
     flagged |= ~(best > 0)
-    # near ties are ranked in rationals by `bnb_optimize`, save those of
-    # single couplers with the same |x| and |y| (mirror images), whose
-    # |z|^2 are exactly equal
+    bits = _key_bits(key[np.arange(rows_n), np.argmax(power, axis=1)], k)
     near = power >= (best * (1.0 - _TIE_REL * (k * k + 1)))[:, None]
-    lo, hi = np.minimum(np.abs(x), np.abs(y)), np.maximum(np.abs(x), np.abs(y))
-    top = np.argmax(power, axis=1)[:, None]
-    mirror = (count == 1) & (lo == at(lo, top)) & (hi == at(hi, top))
-    flagged |= np.any(near & ~mirror, axis=1) & (np.sum(near, axis=1) > 1)
-    tied = power == best[:, None]
-    tied &= count == np.where(tied, count, k + 1).min(axis=1)[:, None]
-    win = np.where(tied, key, np.iinfo(np.int64).max).min(axis=1)
-    bits = (win[:, None] >> np.arange(k - 1, -1, -1)) & 1
-    return bits.astype(np.int8), flagged
+    for i in np.flatnonzero((near.sum(axis=1) > 1) & ~flagged):
+        bits[i] = _pick(_key_bits(key[i, near[i]], k), power[i, near[i]], phasors[i], delta)
+    return bits, flagged
 
 
 def exact_rows(channel, response, delta: float, rho: float) -> np.ndarray:

@@ -31,11 +31,11 @@ def _add_scenario_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tau", type=float, default=None, help="slot length in seconds")
 
 
-def _node_flag(nodes: int) -> int:
-    """The --nodes value, within the node ceiling."""
-    if nodes > scen.MAX_NODES:
-        raise scen.ScenarioError(f"--nodes must be at most {scen.MAX_NODES}, got {nodes}")
-    return nodes
+def _capped(flag: str, value: int, cap: int) -> int:
+    """A size flag's value, within its ceiling."""
+    if value > cap:
+        raise scen.ScenarioError(f"{flag} must be at most {cap}, got {value}")
+    return value
 
 
 def _load_scenario(args) -> scen.Scenario:
@@ -47,7 +47,8 @@ def _load_scenario(args) -> scen.Scenario:
             raise scen.ScenarioError(
                 "--pa-count/--rth/--delta/--tau apply to generated scenarios only")
     else:
-        sizes = {} if args.pa_count is None else {"pa_count": args.pa_count}
+        sizes = {} if args.pa_count is None else {
+            "pa_count": _capped("--pa-count", args.pa_count, scen.MAX_PA_COUNT)}
         overrides = {}
         if args.rth is not None:
             overrides["rate_threshold_bps_hz"] = args.rth
@@ -55,7 +56,7 @@ def _load_scenario(args) -> scen.Scenario:
             overrides["radiation_constant"] = args.delta
         s = scen.generate_scenario(
             args.seed,
-            _node_flag(args.nodes),
+            _capped("--nodes", args.nodes, scen.MAX_NODES),
             physics_overrides=overrides,
             slot_seconds=args.tau if args.tau is not None else 1.0,
             **sizes,
@@ -247,7 +248,8 @@ def cmd_benchmark(args) -> int:
     values = [harness.SWEEP_VARIABLES[args.variable](v) for v in args.values.split(",") if v]
     seeds = _parse_seeds(args.seeds)
     out = _out_path(args.out)
-    result = harness.sweep(args.variable, values, strategies, seeds, node_count=_node_flag(args.nodes))
+    nodes = _capped("--nodes", args.nodes, scen.MAX_NODES)
+    result = harness.sweep(args.variable, values, strategies, seeds, node_count=nodes)
     path = _out_dir(out) / f"sweep_{args.variable}.csv"
     harness.write_sweep_csv(path, result)
     print(f"wrote {path}")

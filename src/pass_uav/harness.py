@@ -214,6 +214,8 @@ class ExperimentResult:
 # The variables a sweep may run over and the type of their values. pa_count and
 # node_count are generate_scenario arguments; the rate threshold is a physics override.
 SWEEP_VARIABLES = {"rate_threshold": float, "pa_count": int, "node_count": int}
+# The ceilings of the size variables, and what they count.
+SWEEP_CEILINGS = {"node_count": (scen.MAX_NODES, "nodes"), "pa_count": (scen.MAX_PA_COUNT, "couplers")}
 
 
 def _parse_strategy(label: str) -> tuple[str, str]:
@@ -245,7 +247,7 @@ def sweep(
 
     Bad inputs raise ValueError before any cell runs, among them a value that
     its variable's SWEEP_VARIABLES type would change (4.5 for pa_count) and a
-    node_count past scenario.MAX_NODES.
+    size past its SWEEP_CEILINGS entry.
     Each (planner, seed, node count) is planned once for the whole sweep: the
     rate threshold and the coupler count leave a seed's nodes and GA stream
     as they are, so every value shares its tour and slot plan. A cell that
@@ -261,8 +263,9 @@ def sweep(
             kept = False
         if not kept:
             raise ValueError(f"{variable} takes {kind.__name__} values, not {value!r}")
-        if variable == "node_count" and value > scen.MAX_NODES:
-            raise ValueError(f"node_count takes at most {scen.MAX_NODES} nodes, not {value}")
+        cap, unit = SWEEP_CEILINGS.get(variable, (None, None))
+        if cap is not None and value > cap:
+            raise ValueError(f"{variable} takes at most {cap} {unit}, not {value}")
     for name, given in (("values", values), ("strategies", strategies), ("seeds", seeds)):
         if not given:
             raise ValueError(f"{name} must be nonempty")

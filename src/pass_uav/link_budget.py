@@ -31,6 +31,10 @@ HOVERING = "hovering"
 # slot_seconds, a near-zero speed) is rejected before anything is built. The
 # reference cycles hold a few hundred slots.
 MAX_SLOTS = 100_000
+# The most cells, slots x couplers, of a plan's (S, K) channel block. Building
+# and costing the block peaks near 64 bytes a cell (tracemalloc), so about
+# 270 MB at the cap.
+MAX_CHANNEL_CELLS = 1 << 22
 
 
 class InfeasibleSlotError(RuntimeError):
@@ -114,7 +118,8 @@ def discretize(scenario: Scenario, tour: Tour) -> SlotPlan:
     tau)) slots, at slot-start positions, with a partial last slot clamped to
     the target. On arrival at node m the UAV hovers for ceil(D_task_m / (v_d *
     tau)) slots. The counts are worked out before any slot is built, and a
-    cycle of more than MAX_SLOTS slots raises ScenarioError.
+    cycle of more than MAX_SLOTS slots, or of more than MAX_CHANNEL_CELLS
+    slot-coupler cells, raises ScenarioError.
     """
     tau = scenario.slot_seconds
     fly_step = scenario.flight_speed_mps * tau
@@ -132,6 +137,12 @@ def discretize(scenario: Scenario, tour: Tour) -> SlotPlan:
         raise ScenarioError(
             f"the cycle needs {total:.6g} slots, more than the {MAX_SLOTS} a plan may hold; "
             "check slot_seconds and the speeds"
+        )
+    cells = int(total) * scenario.waveguide.pa_count
+    if cells > MAX_CHANNEL_CELLS:
+        raise ScenarioError(
+            f"the cycle's {int(total)} slots at {scenario.waveguide.pa_count} couplers need "
+            f"{cells} channel cells, more than the {MAX_CHANNEL_CELLS} a plan may hold"
         )
 
     blocks = []  # each leg's flying rows, then the hover rows at its end

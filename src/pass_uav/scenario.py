@@ -37,6 +37,10 @@ MAX_COORDINATE_M = 1e150
 # Most delivery nodes a scenario may hold: `distance_matrix` builds its (M+1)^2
 # matrix through an (M+1)^2 x 3 difference block, about 256 MB at the cap.
 MAX_NODES = 2048
+# Most couplers a waveguide may hold. Past K = 62 every exact solve runs the
+# scalar hull DP, seconds a slot at the cap; the slot plan's channel block
+# has its own cap, `link_budget.MAX_CHANNEL_CELLS`.
+MAX_PA_COUNT = 1024
 
 
 class ScenarioError(ValueError):
@@ -137,6 +141,8 @@ class WaveguideConfig:
         xs = self.pa_x_m
         if not xs:
             raise ScenarioError("pa_x_m must contain at least one position")
+        if len(xs) > MAX_PA_COUNT:
+            raise ScenarioError(f"a waveguide holds at most {MAX_PA_COUNT} couplers, not {len(xs)}")
         if not _within_bounds((self.y_m, self.z_m, self.feed_x_m, *xs)):
             raise ScenarioError(
                 f"y_m, z_m, feed_x_m and pa_x_m must lie within ±{MAX_COORDINATE_M:g} m"
@@ -274,6 +280,8 @@ def generate_scenario(
         raise ScenarioError(f"node_count must be at most {MAX_NODES}, got {node_count}")
     if pa_count < 1:
         raise ScenarioError("pa_count must be >= 1")
+    if pa_count > MAX_PA_COUNT:
+        raise ScenarioError(f"pa_count must be at most {MAX_PA_COUNT}, got {pa_count}")
     streams = _streams(seed)
     pos_rng = streams["positions"]
     task_rng = streams["tasks"]

@@ -192,6 +192,32 @@ def test_exact_rows_break_mirror_ties_like_exhaustive():
     assert act.exact_rows(np.conj(phasors), np.ones(2), 0.3, 1.0).tolist() == [[0, 1], [0, 1]]
 
 
+@pytest.mark.parametrize(
+    "scale, expected",
+    [(1 + 2**-52, [[0, 1], [1, 0]]), (1 - 2**-53, [[1, 0], [0, 1]])],
+)
+def test_exact_rows_rank_near_ties_in_place(scale, expected):
+    # the two singles' float |z|^2 lie within rounding of each other, so the
+    # winner is ranked on exact values in the array step itself
+    p = cmath.rect(scale, 3.0)
+    phasors = np.array([[1, p], [p, 1]])
+    _, flagged = act._hull_rows(phasors, 0.3)
+    assert not flagged.any()
+    got = act.exact_rows(np.conj(phasors), np.ones(2), 0.3, 1.0)
+    for row, bits in zip(phasors, got):
+        pr = act.ActivationProblem(channel=np.conj(row), response=np.ones(2), delta=0.3, rho=1.0)
+        assert bits.tolist() == act.exhaustive_best(pr).tolist()
+    assert got.tolist() == expected
+
+
+@pytest.mark.parametrize("solve", [act.exact_rows, act.islr_rows])
+def test_row_solvers_take_any_block_layout(solve):
+    channels, response, delta, rho = next(_flying_slot_blocks((10,)))
+    expected = solve(np.ascontiguousarray(channels), response, delta, rho)
+    for block in (np.asfortranarray(channels), channels[:, list(range(10))]):
+        assert np.array_equal(solve(block, response, delta, rho), expected)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "pa_count, delta",
@@ -366,6 +392,24 @@ def test_islr_rows_on_flying_slots_match_one_slot_solves():
             for h, row in zip(channels, rows):
                 expected = act.islr_optimize(act.ActivationProblem(h, response, delta, rho), high_count)
                 assert np.array_equal(row, expected)
+
+
+def test_islr_walk_moves_in_four_rounds():
+    # a walk that still moves in its fourth round: a cap of 2 rounds gives
+    # [1,0,0,1,1,1,1,0,1,0,0,0,1,0], a cap of 3 ends on coupler 13 still on
+    channel = np.array([
+        -1.2464084654890566 - 1.1930700794476279j, -0.7602010690633242 - 1.3114237867132217j,
+        0.8629825647254689 - 0.1300034976280829j, -1.5646002890501058 - 0.24555377044348584j,
+        1.327214622618723 - 1.492745202051466j, -0.9657046501851866 - 3.311730652756559j,
+        -1.7037701329663761 + 1.7392430211273227j, 0.027534116641699784 - 0.025593758543069105j,
+        1.4262957452762428 - 1.188807340493079j, 0.6360941772449658 - 0.3456764403627407j,
+        1.2906177802836205 - 1.0073678454808745j, -1.0781055957213785 - 0.7582506514660935j,
+        -2.310973912283712 + 1.846489368417861j, -1.0195083087108145 + 1.2029939064310868j,
+    ])
+    pr = act.ActivationProblem(channel, np.ones(14), 0.713050467759899, 1.0)
+    expected = [1, 1, 0, 1, 1, 1, 1, 0, 0, 0, 0, 1, 1, 0]
+    assert act.islr_optimize(pr, 7).tolist() == expected
+    assert islr_reference(pr, 7).tolist() == expected
 
 
 def _mixed_islr_block(k, rows, data):

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import io
 import json
+import math
 import re
 from pathlib import Path
 
@@ -685,6 +686,56 @@ def test_fuzzed_scenario_files_end_in_documented_exit_codes(tmp_path_factory, da
     assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_INFEASIBLE)
 
 
+# What a hand-edited scenario file might hold in one field.
+_FIELD_VALUES = [math.nan, math.inf, -math.inf, 1e308, -0.0, 0, -1, 10**400, "1", None, [], [1.0] * 3000]
+# Each size flag's ceiling at 2 nodes; a flag is set at it only where that
+# run stays small (a 2,048-node distance matrix or a 4-million-tour GA does not).
+_FLAG_CEILINGS = {
+    "--nodes": (scen.MAX_NODES, False),
+    "--population": (rp.MAX_POPULATION_CELLS // 2, False),
+    "--subpath": (rp.HELD_KARP_MAX_NODES + 1, True),
+    "--pa-count": (scen.MAX_PA_COUNT, True),
+}
+_TINY_HAO = ["--population", "4", "--generations", "1", "--hao-iterations", "1"]
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_cli_runs_end_in_documented_exit_codes(tmp_path_factory, data):
+    tmp = tmp_path_factory.mktemp("cli")
+    command = data.draw(st.sampled_from(["plan", "simulate", "activate"]))
+    planner = data.draw(st.sampled_from(["nearest_neighbor", "hao"]))
+    activator = data.draw(st.sampled_from(["full", "islr", "bnb", "mimo"]))
+    argv = [command, *_TINY_HAO]
+    if data.draw(st.booleans()):  # a saved 2-node scenario with one field changed
+        scenario = scen.scenario_to_dict(scen.generate_scenario(3, 2, pa_count=4))
+        path = data.draw(st.sampled_from(list(_leaves(scenario))[1:]))
+        parent = scenario
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(_FIELD_VALUES)))
+        (tmp / "scenario.json").write_text(json.dumps(scenario))
+        argv += ["--scenario", str(tmp / "scenario.json")]
+    else:
+        argv += ["--seed", "3", "--nodes", "2"]
+    flag = data.draw(st.sampled_from([None, *_FLAG_CEILINGS]))
+    if flag is not None:
+        cap, small_at_cap = _FLAG_CEILINGS[flag]
+        argv += [flag, str(data.draw(st.sampled_from([cap, cap + 1] if small_at_cap else [cap + 1])))]
+        if flag == "--pa-count":
+            activator = "full"  # past K = 62 an exact or ISLR solve takes seconds a slot
+    if command == "activate":
+        argv += ["--slot", "0", "--planner", planner, "--activator", activator]
+    else:
+        argv += ["--strategy", f"{planner}:{activator}", "--out", str(tmp / "out")]
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    assert rc in (cli.EXIT_OK, cli.EXIT_CONFIG, cli.EXIT_INFEASIBLE)
+    assert "Traceback" not in err.getvalue()
+    assert rc == cli.EXIT_OK or not (tmp / "out").exists()
+
+
 def test_subpath_past_the_window_cap_exits_before_planning(tmp_path, capsys, monkeypatch):
     # a 30-node window's DP would ask for about 290 GB; it must never start
     def never(*args, **kwargs):
@@ -732,6 +783,15 @@ _PAST_POPULATION = str(rp.MAX_POPULATION_CELLS // 10 + 1)
                  id="simulate-population"),
     pytest.param(["activate", "--position", "30,40,5", "--population", _PAST_POPULATION],
                  "--population must be at most 838860", id="activate-population"),
+    pytest.param(["plan", "--pa-count", "1025"], "--pa-count must be at most 1024, got 1025",
+                 id="plan-pa-count"),
+    pytest.param(["simulate", "--pa-count", "1025"], "--pa-count must be at most 1024",
+                 id="simulate-pa-count"),
+    pytest.param(["activate", "--position", "30,40,5", "--pa-count", "1025"],
+                 "--pa-count must be at most 1024", id="activate-pa-count"),
+    pytest.param(["benchmark", "--variable", "pa_count", "--values", "4,1025",
+                  "--strategies", "nearest_neighbor:full", "--seeds", "1"],
+                 "pa_count takes at most 1024 couplers, not 1025", id="benchmark-pa-count"),
 ])
 def test_sizes_past_their_ceilings_exit_before_anything_is_built(tmp_path, capsys, monkeypatch,
                                                                  argv, message):
@@ -757,12 +817,42 @@ def test_a_scenario_file_past_the_node_ceiling_exits_before_anything_is_built(
     assert not (tmp_path / "out").exists()
 
 
+def test_a_scenario_file_past_the_coupler_ceiling_exits_before_anything_is_built(
+        tmp_path, capsys, monkeypatch):
+    _fail_on_build(monkeypatch)
+    data = scen.scenario_to_dict(scen.generate_scenario(1, 1))
+    data["waveguide"]["pa_x_m"] = [0.05 * k for k in range(scen.MAX_PA_COUNT + 1)]
+    data["waveguide"]["min_spacing_m"] = 0.01
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps(data))
+    rc = cli.main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "out")])
+    assert rc == cli.EXIT_CONFIG
+    assert "a waveguide holds at most 1024 couplers, not 1025" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_channel_block_past_its_cell_ceiling_exits_before_it_is_built(tmp_path, capsys, monkeypatch):
+    # 1,024 couplers over the 6,369 slots of 0.02 s: about 6.5 million cells
+    def never(*args, **kwargs):
+        raise AssertionError("a channel block was built")
+
+    monkeypatch.setattr(harness.propagation, "channel", never)
+    out = tmp_path / "out"
+    rc = cli.main(["simulate", "--seed", "1", "--pa-count", "1024", "--tau", "0.02",
+                   "--strategy", "nearest_neighbor:full", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == cli.EXIT_CONFIG
+    assert f"channel cells, more than the {lb.MAX_CHANNEL_CELLS} a plan may hold" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("argv", [
     pytest.param(["plan", "--nodes", "2048"], id="plan-nodes"),
     pytest.param(["activate", "--slot", "0", "--planner", "hao", "--nodes", "2048"], id="activate-nodes"),
     pytest.param(["benchmark", *_SWEEP, "--nodes", "2048"], id="benchmark-nodes"),
     pytest.param(["simulate", "--population", str(rp.MAX_POPULATION_CELLS // 10)],
                  id="simulate-population"),
+    pytest.param(["simulate", "--pa-count", "1024"], id="simulate-pa-count"),
 ])
 def test_sizes_at_their_ceilings_are_planned(tmp_path, monkeypatch, argv):
     _fail_on_build(monkeypatch)

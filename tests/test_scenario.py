@@ -103,6 +103,12 @@ def test_thousand_seeds_all_valid():
         assert all(math.isfinite(v) for n in s.nodes for v in n.position_m)
 
 
+def test_coupler_count_has_a_ceiling():
+    assert scen.generate_scenario(1, 1, pa_count=scen.MAX_PA_COUNT).waveguide.pa_count == 1024
+    with pytest.raises(scen.ScenarioError, match="pa_count must be at most 1024, got 1025"):
+        scen.generate_scenario(1, 1, pa_count=scen.MAX_PA_COUNT + 1)
+
+
 def test_dbm_conversion_roundtrip():
     for dbm in (-90.0, -85.5, -120.0, 0.0):
         assert scen.watts_to_dbm(scen.dbm_to_watts(dbm)) == pytest.approx(dbm, abs=1e-9)
