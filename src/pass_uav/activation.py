@@ -31,10 +31,11 @@ included, and a slot costs O(K^2) point steps instead of 2^K. `exact_rows`
 takes this step for a block of slots at once, one array step per coupler. A
 row whose floats are too close to a degenerate case to trust the step (a zero
 phasor, a visibility or convexity determinant within 1e-12 relative of zero,
-a seen chain in more than one run, a best |z|^2 of zero, K above 62, a delta
-so small that c rounds to 1) is solved by `bnb_optimize`, which carries the
-hull without the origin through a monotone chain with exact orientation signs
-and so takes any input. All three exact solvers pick their winner by `_pick`.
+a seen chain in more than one run, a best |z|^2 of zero, a delta so small
+that c rounds to 1) is solved by `bnb_optimize`, which carries the hull
+without the origin through a monotone chain with exact orientation signs and
+so takes any input. `exhaustive_rows` doubles all 2^K amplitudes per coupler.
+All three exact solvers key activations alike and pick a winner by `_pick`.
 
 `bnb_optimize` keeps its name from the branch and bound it replaced, so that
 the `bnb` activator label, and every output that carries it, stays as it was.
@@ -77,12 +78,12 @@ _TIE_REL = 1e-15
 # `exact_rows` sends a row to `bnb_optimize` when one of its float
 # determinants lies within this fraction of the sum of its products' sizes.
 _BATCH_REL_TOL = 1e-12
-# `exact_rows` keys an activation by an int64 bitmask.
-_BATCH_MAX_K = 62
-# `islr_rows` walks its rows in chunks of at most this many rows * K^2: a
-# walk scores up to K - 1 candidate sets of K couplers per row, and a scored
-# cell peaks at about 32 bytes, so a chunk stays near 8 MB.
-_ISLR_BLOCK_CELLS = 1 << 18
+# The row solvers take their rows in chunks of at most this many cells, one
+# row at least: 2^K amplitudes a row in `exhaustive_rows`, 2K + 2 hull vertices
+# in `exact_rows`, K - 1 sets of K couplers in an `islr_rows` walk. A chunk
+# peaked near 8, 30 and 8 MB under tracemalloc; in `exact_rows` 90 MB at
+# K = 1,024, where a key takes 16 words.
+_BLOCK_CELLS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -136,11 +137,6 @@ def combined_gains(channel, response, activations, delta: float) -> list[float]:
     return [float(np.abs(amp) ** 2) for amp in np.atleast_1d(amps)]
 
 
-def _all_bitmaps(k: int) -> np.ndarray:
-    ints = np.arange(1 << k, dtype=np.int64)
-    return ((ints[:, None] >> np.arange(k)) & 1).astype(np.int8)
-
-
 def _scaled_phasors(phasors: np.ndarray) -> np.ndarray:
     """Each row of phasors (last axis) over 2^e, e the binary exponent of its
     largest |phi| (none if all are zero), so that the solvers' |z|^2 cannot
@@ -150,27 +146,11 @@ def _scaled_phasors(phasors: np.ndarray) -> np.ndarray:
     return np.ldexp(phasors.view(np.float64), -exponent[..., None]).view(np.complex128)
 
 
-def _amplitudes(bits, problem: ActivationProblem) -> np.ndarray:
-    """Scaled radiated amplitude of each activation in a stack, summed in
-    Horner form from the last coupler back.
-
-    `bnb_optimize` builds its points with the same float operations, so both
-    give an activation the same float amplitude, and couplers with equal
-    phasors give exactly tied amplitudes in both.
-    """
-    c = math.sqrt(1.0 - problem.delta * problem.delta)
-    radiated = problem.delta * _scaled_phasors(problem.phasors)
-    amp = np.zeros(bits.shape[:-1], dtype=complex)
-    for k in reversed(range(problem.size)):
-        amp = np.where(bits[..., k], radiated[k] + c * amp, amp)
-    return amp
-
-
 def _exact_powers(bits, phasors, delta: float) -> list:
-    """|z|^2 of each activation of an (N, K) stack in rationals: the sum of
-    `_amplitudes` from the same float radiated phasors and c, without its
-    rounding. Equal partial sums are carried once, so activations that share
-    a tail, or differ only in silent couplers, cost one sum."""
+    """|z|^2 of each activation of an (N, K) stack in rationals: the solvers'
+    sum from the far coupler back, from the same float radiated phasors and c,
+    without its rounding. Equal partial sums are carried once, so activations
+    that share a tail, or differ only in silent couplers, cost one sum."""
     c = Fraction(math.sqrt(1.0 - delta * delta))
     radiated = (delta * _scaled_phasors(phasors)).tolist()
     sums, ids = [(Fraction(0), Fraction(0))], np.zeros(len(bits), dtype=np.int64)
@@ -205,18 +185,58 @@ def _pick(bits, power, phasors, delta: float) -> np.ndarray:
     return np.asarray(min(bits.tolist(), key=lambda row: (sum(row), row)), dtype=np.int8)
 
 
-def exhaustive_best(problem: ActivationProblem) -> np.ndarray:
-    """Global argmax over all 2^K activations, excluding the infeasible zero vector.
+def _pick_rows(power, words, phasors, delta: float) -> np.ndarray:
+    """(S, K) int8 winners of rows of candidates, (S, N) float |z|^2 (-1 for
+    none) keyed by (S, N, W) `_key_bits` words: the largest |z|^2, or `_pick`
+    among a row's near ties."""
+    rows, k = phasors.shape
+    bits = _key_bits(words[np.arange(rows), np.argmax(power, axis=1)], k)
+    near = power >= power.max(axis=1, keepdims=True) * (1.0 - _TIE_REL * (k * k + 1))
+    for i in np.flatnonzero(near.sum(axis=1) > 1):
+        bits[i] = _pick(_key_bits(words[i, near[i]], k), power[i, near[i]], phasors[i], delta)
+    return bits
 
-    Activations are ranked by |amplitude|^2, which orders them as the
-    objective does (rho > 0), and the winner is picked by `_pick`.
-    """
-    k = problem.size
+
+def _in_chunks(solve, channel, cells: int) -> np.ndarray:
+    """`solve` on each chunk of an (S, K) channel block's rows, at most
+    `_BLOCK_CELLS` cells at `cells` per row, as one (S, K) int8 block."""
+    channel = np.asarray(channel, dtype=np.complex128)
+    out = np.empty(channel.shape, dtype=np.int8)
+    step = max(1, _BLOCK_CELLS // cells)
+    for lo in range(0, len(channel), step):
+        out[lo : lo + step] = solve(channel[lo : lo + step])
+    return out
+
+
+def exhaustive_rows(channel, response, delta: float, rho: float) -> np.ndarray:
+    """Global argmax over all 2^K activations but the infeasible zero vector,
+    for each row of an (S, K) channel block, as (S, K) int8 bitmaps: the
+    largest |amplitude|^2 (rho > 0 orders the objective alike), picked by
+    `_pick`. The amplitudes are swept from the far coupler with the float
+    operations of `bnb_optimize`, so both give an activation the same float
+    amplitude, and couplers with equal phasors give exactly tied ones."""
+    k = np.shape(channel)[-1]
     if k > EXHAUSTIVE_MAX_K:
         raise ValueError(f"exhaustive search is guarded to K <= {EXHAUSTIVE_MAX_K}, got {k}")
-    bits = _all_bitmaps(k)[1:]
-    amps = _amplitudes(bits, problem)
-    return _pick(bits, amps.real**2 + amps.imag**2, problem.phasors, problem.delta)
+    c = math.sqrt(1.0 - delta * delta)
+    index = np.arange(1 << k, dtype=np.uint64)[None, :, None]
+
+    def solve(block):
+        phasors = np.conj(block) * response
+        radiated = delta * _scaled_phasors(phasors)
+        amps = np.zeros((len(block), 1 << k), dtype=complex)
+        for j in range(k):  # coupler K-1-j is index bit j: Z u (t + c Z), summed as c Z + t
+            amps[:, 1 << j : 2 << j] = c * amps[:, : 1 << j] + radiated[:, k - 1 - j, None]
+        power = amps.real**2 + amps.imag**2
+        power[:, 0] = -1.0
+        return _pick_rows(power, np.broadcast_to(index, power.shape + (1,)), phasors, delta)
+
+    return _in_chunks(solve, channel, 1 << k)
+
+
+def exhaustive_best(problem: ActivationProblem) -> np.ndarray:
+    """`exhaustive_rows` on one slot."""
+    return exhaustive_rows(problem.channel[None], problem.response, problem.delta, problem.rho)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -319,15 +339,17 @@ def bnb_optimize(problem: ActivationProblem, trace: Optional[BnbTrace] = None) -
             trace.boxes_created += len(points)
         hull = _hull(points + hull, trace)
     power = np.array([x * x + y * y for x, y, _, _ in hull])
-    return _pick(_key_bits([p[3] for p in hull], k), power, problem.phasors, problem.delta)
+    raw = b"".join(p[3].to_bytes((k + 63) // 64 * 8, "big") for p in hull)
+    words = np.frombuffer(raw, dtype=">u8").reshape(len(hull), -1)
+    return _pick(_key_bits(words, k), power, problem.phasors, problem.delta)
 
 
-def _key_bits(keys, k: int) -> np.ndarray:
-    """(N, K) int8 bitmaps of N keys: coupler j is bit K-1-j of its key."""
-    width = (k + 7) // 8
-    raw = b"".join(int(key).to_bytes(width, "big") for key in keys)
-    grid = np.frombuffer(raw, dtype=np.uint8).reshape(len(keys), width)
-    return np.unpackbits(grid, axis=1)[:, width * 8 - k :].astype(np.int8)
+def _key_bits(words, k: int) -> np.ndarray:
+    """(N, K) int8 bitmaps of N keys held as (N, W) uint64 words, the most
+    significant first: coupler j is bit K-1-j of its key, so keys order as
+    bitmaps do."""
+    raw = np.ascontiguousarray(words, dtype=">u8").view(np.uint8)
+    return np.unpackbits(raw, axis=1)[:, raw.shape[1] * 8 - k :].astype(np.int8)
 
 
 def _hull_rows(phasors: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarray]:
@@ -336,15 +358,14 @@ def _hull_rows(phasors: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarra
     cannot be trusted and must be solved by `bnb_optimize`.
 
     Row i carries the first n[i] columns of its x, y, count and key arrays as
-    the counter-clockwise vertices of its hull, the origin included. Images
-    are made with the scalar DP's float operations, so an activation has the
-    same float amplitude in both. The winner is the vertex of largest |z|^2;
-    a row with a near tie in |z|^2 passes its near-tied vertices to `_pick`,
-    the scalar DP's own rule.
+    the counter-clockwise vertices of its hull, the origin included; a key is
+    W uint64 words, as `_key_bits` reads them. Images are made with the
+    scalar DP's float operations, so an activation has the same float
+    amplitude in both, and the winner is picked by `_pick_rows`.
     """
     rows_n, k = phasors.shape
     c = math.sqrt(1.0 - delta * delta)
-    if k > _BATCH_MAX_K or c == 1.0:  # keys past int64; no centre s at a delta below ~1e-8
+    if c == 1.0:  # no centre s at a delta below ~1e-8
         return np.zeros((rows_n, k), dtype=np.int8), np.ones(rows_n, dtype=bool)
     radiated = delta * _scaled_phasors(phasors)
     cols = np.arange(2 * k + 2)
@@ -352,10 +373,10 @@ def _hull_rows(phasors: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarra
     flagged = np.any(radiated == 0, axis=1)
     x, y = np.zeros((rows_n, cols.size)), np.zeros((rows_n, cols.size))
     count = np.zeros((rows_n, cols.size), dtype=np.int64)
-    key = np.zeros((rows_n, cols.size), dtype=np.int64)
+    key = np.zeros((rows_n, cols.size, (k + 63) // 64), dtype=np.uint64)
     # the far coupler alone: the origin and its image
     x[:, 1], y[:, 1] = tx[:, k - 1] + c * 0.0, ty[:, k - 1] + c * 0.0
-    count[:, 1], key[:, 1] = 1, 1
+    count[:, 1], key[:, 1, -1] = 1, 1
     n = np.full(rows_n, 2)
 
     def near_zero(left, right):
@@ -389,13 +410,15 @@ def _hull_rows(phasors: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarra
         a = np.argmax(starts, axis=1)
         split = np.where(grow, n - m + 1, n)[:, None]
         src = np.where(cols < split, (a + m)[:, None] + cols, a[:, None] + cols - split)
-        src = np.where(grow[:, None], src % n[:, None], np.minimum(cols, n[:, None] - 1))
+        src = offsets + np.where(grow[:, None], src % n[:, None], np.minimum(cols, n[:, None] - 1))
         image = grow[:, None] & (cols >= split)
-        x, y = at(x, src), at(y, src)
+        x, y = np.take(x, src), np.take(y, src)
         x = np.where(image, tx[:, j, None] + c * x, x)
         y = np.where(image, ty[:, j, None] + c * y, y)
-        count = at(count, src) + image
-        key = at(key, src) | np.where(image, 1 << (k - 1 - j), 0)
+        count = np.take(count, src) + image
+        key = np.take(key.reshape(-1, key.shape[2]), src, axis=0)
+        word, bit = divmod(k - 1 - j, 64)
+        key[:, :, -1 - word] |= np.where(image, np.uint64(1 << bit), np.uint64(0))
         n = np.where(grow, n + 2, n)
         # every corner of a grown hull must turn left, by a clear margin
         live = cols < n[:, None]
@@ -406,24 +429,23 @@ def _hull_rows(phasors: np.ndarray, delta: float) -> tuple[np.ndarray, np.ndarra
         flagged |= grow & np.any(bent, axis=1)
 
     power = np.where((cols < n[:, None]) & (count > 0), x * x + y * y, -1.0)
-    best = power.max(axis=1)
-    flagged |= ~(best > 0)
-    bits = _key_bits(key[np.arange(rows_n), np.argmax(power, axis=1)], k)
-    near = power >= (best * (1.0 - _TIE_REL * (k * k + 1)))[:, None]
-    for i in np.flatnonzero((near.sum(axis=1) > 1) & ~flagged):
-        bits[i] = _pick(_key_bits(key[i, near[i]], k), power[i, near[i]], phasors[i], delta)
-    return bits, flagged
+    flagged |= ~(power.max(axis=1) > 0)
+    power[flagged] = -1.0  # the fallback solves these rows; `_pick_rows` need not
+    return _pick_rows(power, key, phasors, delta), flagged
 
 
 def exact_rows(channel, response, delta: float, rho: float) -> np.ndarray:
     """Exact activations of an (S, K) channel block, one row per slot, as
     (S, K) int8 bitmaps: row i is `bnb_optimize`'s answer for the slot with
     channel row i and the shared response, delta and rho."""
-    channel = np.asarray(channel, dtype=np.complex128)
-    bits, flagged = _hull_rows(np.conj(channel) * response, delta)
-    for i in np.flatnonzero(flagged):
-        bits[i] = bnb_optimize(ActivationProblem(channel[i], response, delta, rho))
-    return bits
+
+    def solve(block):
+        bits, flagged = _hull_rows(np.conj(block) * response, delta)
+        for i in np.flatnonzero(flagged):
+            bits[i] = bnb_optimize(ActivationProblem(block[i], response, delta, rho))
+        return bits
+
+    return _in_chunks(solve, channel, 2 * np.shape(channel)[-1] + 2)
 
 
 # ---------------------------------------------------------------------------
@@ -462,17 +484,13 @@ def islr_rows(channel, response, delta: float, rho: float,
     so each slot sees the scores, and takes the walk, that it would take
     alone.
     """
-    channel = np.asarray(channel, dtype=np.complex128)
-    rows, k = channel.shape
+    k = np.shape(channel)[-1]
     if high_count is None:
         high_count = math.ceil(k / 2)
     if not 1 <= high_count <= k:
         raise ValueError("high_count must lie in [1, K]")
-    out = np.empty((rows, k), dtype=np.int8)
-    step = max(1, _ISLR_BLOCK_CELLS // (k * k))
-    for lo in range(0, rows, step):
-        out[lo : lo + step] = _islr_chunk(channel[lo : lo + step], response, delta, rho, high_count)
-    return out
+    return _in_chunks(lambda block: _islr_chunk(block, response, delta, rho, high_count),
+                      channel, k * k)
 
 
 def _islr_chunk(channel, response, delta: float, rho: float, high_count: int) -> np.ndarray:

@@ -129,8 +129,7 @@ def solve_rows(channels, activator: str, spec: StrategySpec, response, delta, rh
     if activator == "full":
         return np.ones(np.shape(channels), dtype=np.int8)
     if activator == "exhaustive":
-        return np.array([act.exhaustive_best(act.ActivationProblem(h, response, delta, rho))
-                         for h in channels])
+        return act.exhaustive_rows(channels, response, delta, rho)
     raise ValueError(f"activator '{activator}' does not produce activation vectors")
 
 

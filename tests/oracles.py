@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 
+from pass_uav.activation import _pick, _scaled_phasors
 from pass_uav.propagation import radiation_ratios
 
 
@@ -26,6 +27,20 @@ def scalar_gain(problem, bits):
     beta = radiation_ratios(bits, problem.delta)
     amp = np.sum(np.conj(problem.channel) * beta * problem.response)
     return float(np.abs(amp) ** 2)
+
+
+def exhaustive_reference(problem):
+    """Enumeration oracle: all 2^K - 1 nonzero (N, K) bitmaps, each amplitude
+    summed in Horner form from the last coupler back over the scaled
+    phasors, and the winner picked by the solvers' own rule, `_pick`."""
+    k = problem.size
+    bits = ((np.arange(1, 1 << k)[:, None] >> np.arange(k)) & 1).astype(np.int8)
+    c = math.sqrt(1.0 - problem.delta * problem.delta)
+    radiated = problem.delta * _scaled_phasors(problem.phasors)
+    amp = np.zeros(len(bits), dtype=complex)
+    for j in reversed(range(k)):
+        amp = np.where(bits[:, j], radiated[j] + c * amp, amp)
+    return _pick(bits, amp.real**2 + amp.imag**2, problem.phasors, problem.delta)
 
 
 def islr_reference(problem, high_count=None):

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from oracles import bitmap_digest, islr_reference
+from oracles import bitmap_digest, exhaustive_reference, islr_reference
 
 from pass_uav import activation as act
 from pass_uav import harness
@@ -155,6 +155,50 @@ def test_exact_rows_equal_exhaustive_bit_for_bit(block, delta):
         assert bits.tolist() == act.exhaustive_best(pr).tolist()
 
 
+# phasors that tie, or nearly tie, in |z|^2: zeros, tiny tails, twins one ulp
+# apart, lattice phases and small integers
+_TIE_PRONE_PHASOR = st.one_of(_PHASOR, st.sampled_from(
+    [0j, 1e-6, 1, -1, 1j, 1 + 1j, 2 - 1j, cmath.rect(1, 3.0), cmath.rect(1 + 2**-52, 3.0)]))
+_DELTAS = st.one_of(st.sampled_from([0.25, 0.3, 0.5, 2**-9]),
+                    st.floats(min_value=1e-3, max_value=0.999))
+
+
+@settings(max_examples=150, deadline=None)
+@given(block=st.integers(min_value=1, max_value=10).flatmap(
+           lambda k: st.lists(st.lists(_TIE_PRONE_PHASOR, min_size=k, max_size=k),
+                              min_size=1, max_size=6)),
+       delta=_DELTAS)
+def test_exhaustive_rows_equal_the_enumeration_bit_for_bit(block, delta):
+    phasors = np.array(block, dtype=complex)
+    response = np.ones(phasors.shape[1])
+    got = act.exhaustive_rows(np.conj(phasors), response, delta, 1.0)
+    for row, bits in zip(phasors, got):
+        pr = act.ActivationProblem(channel=np.conj(row), response=response, delta=delta, rho=1.0)
+        assert bits.tolist() == exhaustive_reference(pr).tolist()
+
+
+@settings(max_examples=12, deadline=None)
+@given(k=st.integers(min_value=63, max_value=130), rows=st.integers(min_value=1, max_value=3),
+       kind=st.sampled_from(["random", "lattice", "twins", "integers"]),
+       seed=st.integers(min_value=0, max_value=2**32 - 1), delta=_DELTAS)
+def test_exact_rows_equal_bnb_past_one_key_word(k, rows, kind, seed, delta):
+    # keys of one to three uint64 words; lattice phases and small integers
+    # send rows to the fallback, twins one ulp apart tie nearly in |z|^2
+    rng = np.random.default_rng(seed)
+    phasors = rng.normal(size=(rows, k)) + 1j * rng.normal(size=(rows, k))
+    if kind == "lattice":
+        phasors = 1j ** rng.integers(0, 4, size=(rows, k)) * rng.integers(1, 3, size=(rows, k))
+    elif kind == "twins":
+        phasors[:, 1::2] = phasors[:, ::2][:, : k // 2] * (1 + 2**-52)
+    elif kind == "integers":
+        phasors = rng.integers(-2, 3, size=(rows, k)) + 1j * rng.integers(-2, 3, size=(rows, k))
+    response = np.ones(k)
+    got = act.exact_rows(np.conj(phasors), response, delta, 1.0)
+    for row, bits in zip(phasors, got):
+        pr = act.ActivationProblem(channel=np.conj(row), response=response, delta=delta, rho=1.0)
+        assert bits.tolist() == act.bnb_optimize(pr).tolist()
+
+
 _GENERIC_ROW = [0.3 + 0.4j, -0.7 + 0.1j, 0.2 - 0.9j, 0.5 + 0.5j]
 
 
@@ -210,7 +254,7 @@ def test_exact_rows_rank_near_ties_in_place(scale, expected):
     assert got.tolist() == expected
 
 
-@pytest.mark.parametrize("solve", [act.exact_rows, act.islr_rows])
+@pytest.mark.parametrize("solve", [act.exact_rows, act.islr_rows, act.exhaustive_rows])
 def test_row_solvers_take_any_block_layout(solve):
     channels, response, delta, rho = next(_flying_slot_blocks((10,)))
     expected = solve(np.ascontiguousarray(channels), response, delta, rho)
@@ -221,14 +265,16 @@ def test_row_solvers_take_any_block_layout(solve):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "pa_count, delta",
-    [(64, None), (10, 1e-9)],  # keys past int64; c == 1.0, which leaves no centre s
+    # K = 64 keys fill one uint64 word and need no fallback; c == 1.0 leaves no centre s
+    [(64, None), (10, 1e-9)],
 )
 def test_exact_rows_fall_back_where_the_array_step_cannot_go(pa_count, delta):
     overrides = {} if delta is None else {"radiation_constant": delta}
     s = scen.generate_scenario(7, 1, pa_count=pa_count, physics_overrides=overrides)
     positions = [(37.0, 22.0, 5.0), (61.0, 18.0, 6.0)]
     response, delta, rho = act.link_constants(s)
-    assert act._hull_rows(np.conj(prop.channel(s, positions)) * response, delta)[1].all()
+    flagged = act._hull_rows(np.conj(prop.channel(s, positions)) * response, delta)[1]
+    assert flagged.tolist() == [pa_count == 10] * 2
     got = act.exact_rows(prop.channel(s, positions), response, delta, rho)
     for pos, bits in zip(positions, got):
         assert bits.tolist() == act.bnb_optimize(_problem(s, pos)).tolist()
@@ -412,9 +458,9 @@ def test_islr_walk_moves_in_four_rounds():
     assert islr_reference(pr, 7).tolist() == expected
 
 
-def _mixed_islr_block(k, rows, data):
-    """A drawn ISLR block: repeated rows, zero phasors and subnormal
-    objectives, as (channel, response, delta, rho, high_count)."""
+def _mixed_block(k, rows, data):
+    """A drawn block for the row solvers: repeated rows, zero phasors and
+    subnormal objectives, as (channel, response, delta, rho, high_count)."""
     rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32 - 1)))
     distinct = rng.normal(size=(rows, k)) + 1j * rng.normal(size=(rows, k))
     channel = distinct[rng.integers(0, rng.integers(1, rows + 1), size=rows)]
@@ -426,22 +472,37 @@ def _mixed_islr_block(k, rows, data):
     return channel, response, delta, rho, high_count
 
 
-def _islr_rows_in_chunks(block_rows, channel, *args):
-    """`islr_rows` walked all at once (block_rows None) or block_rows rows at a time."""
+def _rows_in_chunks(solve, block_rows, channel, *args):
+    """A row solver in chunks of the default size (block_rows None) or of
+    block_rows rows."""
     k = channel.shape[1]
-    cells = act._ISLR_BLOCK_CELLS if block_rows is None else block_rows * k * k
-    with mock.patch.object(act, "_ISLR_BLOCK_CELLS", cells):
-        block = act.islr_rows(channel, *args)
+    cells = {act.exact_rows: 2 * k + 2, act.exhaustive_rows: 1 << k, act.islr_rows: k * k}[solve]
+    with mock.patch.object(act, "_BLOCK_CELLS", act._BLOCK_CELLS if block_rows is None
+                           else block_rows * cells):
+        block = solve(channel, *args)
     assert block.dtype == np.int8 and block.shape == channel.shape
     return block
+
+
+@settings(max_examples=40, deadline=None)
+@given(k=st.integers(min_value=1, max_value=10), rows=st.integers(min_value=1, max_value=8),
+       data=st.data())
+@pytest.mark.parametrize("solve", [act.exact_rows, act.exhaustive_rows, act.islr_rows])
+def test_row_solvers_give_the_same_bitmaps_in_any_chunks(solve, k, rows, data):
+    channel, response, delta, rho, _ = _mixed_block(k, rows, data)
+    whole = _rows_in_chunks(solve, None, channel, response, delta, rho)
+    for block_rows in (1, 2):
+        assert np.array_equal(_rows_in_chunks(solve, block_rows, channel, response, delta, rho),
+                              whole)
 
 
 @settings(max_examples=60, deadline=None)
 @given(k=st.integers(min_value=1, max_value=12), rows=st.integers(min_value=1, max_value=8),
        block_rows=st.sampled_from([None, 3, 1]), data=st.data())
 def test_islr_rows_match_islr_optimize_on_mixed_blocks(k, rows, block_rows, data):
-    channel, response, delta, rho, high_count = _mixed_islr_block(k, rows, data)
-    block = _islr_rows_in_chunks(block_rows, channel, response, delta, rho, high_count)
+    channel, response, delta, rho, high_count = _mixed_block(k, rows, data)
+    block = _rows_in_chunks(act.islr_rows, block_rows, channel, response, delta, rho,
+                            high_count)
     for h, row in zip(channel, block):
         expected = act.islr_optimize(act.ActivationProblem(h, response, delta, rho), high_count)
         assert np.array_equal(row, expected)
@@ -453,8 +514,9 @@ def test_islr_rows_match_islr_optimize_on_mixed_blocks(k, rows, block_rows, data
 def test_islr_rows_match_the_sequential_reference(k, rows, block_rows, data):
     # the array walks keep only each walk's current set; the reference scores
     # one set at a time and keeps every set it scored
-    channel, response, delta, rho, high_count = _mixed_islr_block(k, rows, data)
-    block = _islr_rows_in_chunks(block_rows, channel, response, delta, rho, high_count)
+    channel, response, delta, rho, high_count = _mixed_block(k, rows, data)
+    block = _rows_in_chunks(act.islr_rows, block_rows, channel, response, delta, rho,
+                            high_count)
     for h, row in zip(channel, block):
         expected = islr_reference(act.ActivationProblem(h, response, delta, rho), high_count)
         assert np.array_equal(row, expected)
@@ -496,10 +558,10 @@ def test_exact_bitmaps_on_flying_slots_are_unchanged():
     assert digest == "3a32e96e72d4a0167124b236fd270b3cc1eaccd14379d7738035656c148a7467"
 
 
-def _flying_slot_blocks(pa_counts):
+def _flying_slot_blocks(pa_counts, seeds=(1, 2, 3)):
     """The slots of `_flying_slot_problems`, in the same order, as one channel
     block per plan with the plan's shared response, delta and rho."""
-    for seed in (1, 2, 3):
+    for seed in seeds:
         for k in pa_counts:
             s = scen.generate_scenario(seed, 10, pa_count=k)
             plan = lb.discretize(s, rp.nearest_neighbor(s))
@@ -517,6 +579,35 @@ def test_exact_rows_on_flying_slots_match_the_golden_digest_without_fallback():
     digest, calls = bitmap_digest(rows)
     assert calls == 1135
     assert digest == "3a32e96e72d4a0167124b236fd270b3cc1eaccd14379d7738035656c148a7467"
+
+
+def test_exact_rows_past_int64_keys_match_the_golden_digest_without_fallback():
+    # keys of one and two uint64 words; the digest is of the scalar DP's
+    # answers on the first 12 flying slots of the seed-1 plans
+    rows, fallbacks = [], 0
+    for channels, response, delta, rho in _flying_slot_blocks((64, 128), seeds=(1,)):
+        channels = channels[:12]
+        fallbacks += int(act._hull_rows(np.conj(channels) * response, delta)[1].sum())
+        rows.extend(act.exact_rows(channels, response, delta, rho))
+    assert fallbacks == 0
+    digest, calls = bitmap_digest(rows)
+    assert calls == 24
+    assert digest == "fb4e5ee17369bc799757d9674a13a31937cf70ed86c43e776e85be15a5de43ad"
+
+
+def test_exact_rows_memory_stays_bounded_on_a_large_block():
+    # the hull DP holds 2K + 2 vertices per row; the cell cap keeps a
+    # 20,000-row block in chunks
+    rng = np.random.default_rng(6)
+    channel = rng.normal(size=(20_000, 16)) + 1j * rng.normal(size=(20_000, 16))
+    response = np.exp(2j * np.pi * rng.random(16))
+    tracemalloc.start()
+    try:
+        act.exact_rows(channel, response, 0.3, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 48 * 2**20
 
 
 def test_full_activation_vector(reference):

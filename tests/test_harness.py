@@ -143,6 +143,16 @@ def test_every_slot_takes_the_answer_at_its_own_position(activator):
             assert bits.dtype == np.int8 and np.array_equal(bits, expected)
 
 
+@pytest.mark.parametrize("rows", [0, 1, 3])
+@pytest.mark.parametrize("activator", [a for a in harness.ACTIVATORS if a != "mimo"])
+def test_solve_rows_returns_one_int8_row_per_slot(activator, rows):
+    s = scen.generate_scenario(3, 1, pa_count=6)
+    positions = np.random.default_rng(8).uniform([0, 0, 2.5], [100, 100, 7.5], size=(rows, 3))
+    channels = propagation.channel(s, positions)
+    bits = harness.solve_rows(channels, activator, fast_spec(), *act.link_constants(s))
+    assert bits.dtype == np.int8 and bits.shape == (rows, 6)
+
+
 def test_solve_cycle_solves_each_distinct_position_once(monkeypatch):
     s = scen.generate_scenario(3, 3)
     plan = lb.discretize(s, rp.nearest_neighbor(s))
